@@ -1,13 +1,12 @@
 """Contextual-embedding CTR models: feature pipeline, model, training, interpretability."""
 
 from contextnet.ops import Rng, sigmoid, logit, mix_seed
-from contextnet.model import ModelConfig, Parameters, init_params, predict, loss_and_grads, param_count
+from contextnet.model import ModelConfig, init_params, predict, loss_and_grads, param_count
 from contextnet.data import (
     FieldSchema,
     Vocabulary,
     EncodedInstance,
     EncodedDataset,
-    Batch,
     build_vocabulary,
     encode_instance,
     encode_dataset,
@@ -23,7 +22,6 @@ __all__ = [
     "logit",
     "mix_seed",
     "ModelConfig",
-    "Parameters",
     "init_params",
     "predict",
     "loss_and_grads",
@@ -32,7 +30,6 @@ __all__ = [
     "Vocabulary",
     "EncodedInstance",
     "EncodedDataset",
-    "Batch",
     "build_vocabulary",
     "encode_instance",
     "encode_dataset",

@@ -3,7 +3,7 @@
 Layout: 8-byte magic, uint32 version, uint32 header length, JSON header
 (model config, per-field cardinalities, field names/kinds, training seed,
 tensor names and shapes), then the tensors as little-endian float64 in
-declaration order. The sidecar `<path>.manifest` lists tensor shapes and
+param_shapes order. The sidecar `<path>.manifest` lists tensor shapes and
 checksums plus a creation timestamp; the binary file itself is byte-stable
 for identical parameters.
 """
@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
 
-from contextnet.model import ModelConfig, Parameters
+from contextnet.model import ModelConfig, Params, param_shapes
 
 MAGIC = b"CNETCKPT"
 VERSION = 1
@@ -29,19 +30,18 @@ class CheckpointError(ValueError):
 
 def save_checkpoint(
     path: str,
-    params: Parameters,
+    params: Params,
     config: ModelConfig,
     cardinalities: list[int],
     fields: list[tuple[str, str]],
     seed: int,
 ) -> None:
-    named = params.named_tensors()
     header = {
         "config": asdict(config),
         "cardinalities": list(map(int, cardinalities)),
         "fields": [[name, kind] for name, kind in fields],
         "seed": int(seed),
-        "tensors": [[name, list(arr.shape)] for name, arr in named],
+        "tensors": [[name, list(arr.shape)] for name, arr in params.items()],
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     manifest_lines = [f"checkpoint-manifest\t{VERSION}"]
@@ -50,7 +50,7 @@ def save_checkpoint(
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(header_bytes)))
         fh.write(header_bytes)
-        for name, arr in named:
+        for name, arr in params.items():
             blob = np.ascontiguousarray(arr, dtype="<f8").tobytes()
             fh.write(blob)
             digest = hashlib.sha256(blob).hexdigest()
@@ -60,7 +60,10 @@ def save_checkpoint(
         fh.write("\n".join(manifest_lines) + "\n")
 
 
-def load_checkpoint(path: str) -> tuple[Parameters, ModelConfig, dict]:
+def load_checkpoint(path: str) -> tuple[Params, ModelConfig, dict]:
+    """Read a checkpoint whose header must list exactly the tensors its
+    config and cardinalities call for; any malformed file raises
+    CheckpointError."""
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -69,32 +72,39 @@ def load_checkpoint(path: str) -> tuple[Parameters, ModelConfig, dict]:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise CheckpointError(f"{path}: bad checkpoint magic {magic!r}")
-        version, header_len = struct.unpack("<II", fh.read(8))
+        preamble = fh.read(8)
+        if len(preamble) != 8:
+            raise CheckpointError(f"{path}: truncated preamble")
+        version, header_len = struct.unpack("<II", preamble)
         if version != VERSION:
             raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
         try:
             header = json.loads(fh.read(header_len).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            config = ModelConfig(**header["config"])
+            cards = header["cardinalities"]
+            sizes = [config.n_fields, config.embed_dim, config.agg_width, config.n_blocks]
+            if not all(type(n) is int for n in sizes + cards) or min(cards) < 1:
+                raise ValueError(f"bad sizes: config {sizes}, cardinalities {cards}")
+            shapes = param_shapes(config, cards)
+            listed = [(str(name), tuple(shape)) for name, shape in header["tensors"]]
+        except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"{path}: corrupt header: {exc}") from None
-        config = ModelConfig(**header["config"])
-        params = Parameters(embed=[])
-        for name, shape in header["tensors"]:
-            n_items = int(np.prod(shape)) if shape else 1
+        if listed != list(shapes.items()):
+            got = dict(listed)
+            missing = [n for n in shapes if n not in got]
+            unknown = [n for n in got if n not in shapes]
+            wrong = [n for n in shapes if n in got and got[n] != shapes[n]]
+            raise CheckpointError(
+                f"{path}: header tensors do not fit the config: missing {missing}, "
+                f"unknown {unknown}, wrong shape {wrong}"
+            )
+        params = {}
+        for name, shape in shapes.items():
+            n_items = math.prod(shape)
             blob = fh.read(8 * n_items)
             if len(blob) != 8 * n_items:
                 raise CheckpointError(f"{path}: truncated tensor {name}")
-            arr = np.frombuffer(blob, dtype="<f8").astype(np.float64).reshape(shape)
-            group, _, idx = name.partition(".")
-            if group in Parameters._GROUPS:
-                getattr(params, group).append(arr)
-            elif name == "head_w":
-                params.head_w = arr
-            elif name == "head_b":
-                params.head_b = arr
-            else:
-                raise CheckpointError(f"{path}: unknown tensor {name!r}")
+            params[name] = np.frombuffer(blob, "<f8").astype(np.float64).reshape(shape)
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes after tensors")
-    if params.head_w is None or params.head_b is None:
-        raise CheckpointError(f"{path}: missing head tensors")
     return params, config, header

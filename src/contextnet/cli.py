@@ -190,6 +190,17 @@ def _model_config(opts: dict, n_fields: int) -> ModelConfig:
 
 
 def cmd_train(opts: dict) -> int:
+    try:
+        tconf = TrainConfig(
+            batch_size=opts["batch_size"],
+            lr=opts["lr"],
+            max_epochs=opts["epochs"],
+            patience=opts["patience"],
+            seed=opts["seed"],
+            eval_every=opts["eval_every"],
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     _require_file(opts["data"], "data file")
     _require_file(opts["schema"], "schema file")
     schema = dt.load_schema(opts["schema"])
@@ -200,18 +211,11 @@ def cmd_train(opts: dict) -> int:
     train_set = dt.encode_dataset(train_recs, schema, vocab)
     val_set = dt.encode_dataset(val_recs, schema, vocab)
     test_set = dt.encode_dataset(test_recs, schema, vocab)
+    test_set.require_both_classes("the test split")
 
     config = _model_config(opts, len(schema))
     params = init_params(
         config, cards, opts["seed"], pos_rate=float(train_set.labels.mean())
-    )
-    tconf = TrainConfig(
-        batch_size=opts["batch_size"],
-        lr=opts["lr"],
-        max_epochs=opts["epochs"],
-        patience=opts["patience"],
-        seed=opts["seed"],
-        eval_every=opts["eval_every"],
     )
     best, history = train(config, params, train_set, val_set, tconf)
 
@@ -276,6 +280,7 @@ def cmd_evaluate(opts: dict) -> int:
         parts = dict(zip(("train", "val", "test"), dt.split_dataset(records, seed)))
         records = parts[split]
     dataset = dt.encode_dataset(records, schema, vocab)
+    dataset.require_both_classes(f"{opts['data']} (split {split})")
     scores = predict_scores(dataset, params, config)
     split_auc = auc(scores, dataset.labels)
     split_ll = logloss(scores, dataset.labels)

@@ -163,6 +163,9 @@ class EncodedInstance:
 
 @dataclass
 class EncodedDataset:
+    """Rows as three parallel arrays: a whole file, a split, a batch or a
+    scoring chunk (take with a slice returns views)."""
+
     labels: np.ndarray  # [n] float64 in {0, 1}
     indices: np.ndarray  # [n, f] int64
     values: np.ndarray  # [n, f] float64
@@ -173,18 +176,13 @@ class EncodedDataset:
     def instance(self, i: int) -> EncodedInstance:
         return EncodedInstance(int(self.labels[i]), self.indices[i], self.values[i])
 
-    def take(self, idx: np.ndarray) -> "EncodedDataset":
+    def take(self, idx) -> "EncodedDataset":
         return EncodedDataset(self.labels[idx], self.indices[idx], self.values[idx])
 
-
-@dataclass
-class Batch:
-    labels: np.ndarray  # [B] float64
-    indices: np.ndarray  # [B, f] int64
-    values: np.ndarray  # [B, f] float64
-
-    def __len__(self) -> int:
-        return self.labels.shape[0]
+    def require_both_classes(self, what: str) -> None:
+        """AUC needs at least one positive and one negative label."""
+        if np.unique(self.labels).size < 2:
+            raise DataError(f"{what} holds only one class, so AUC is undefined")
 
 
 def encode_instance(
@@ -276,8 +274,7 @@ def batch_iter(dataset: EncodedDataset, batch_size: int, seed: int, epoch: int =
     n = len(dataset)
     perm = Rng(mix_seed(seed, epoch, _BATCH_SALT)).permutation(n)
     for start in range(0, n, batch_size):
-        idx = perm[start : start + batch_size]
-        yield Batch(dataset.labels[idx], dataset.indices[idx], dataset.values[idx])
+        yield dataset.take(perm[start : start + batch_size])
 
 
 def load_records(path: str, schema: list[FieldSchema]) -> list[list[str]]:
@@ -319,8 +316,7 @@ def save_vocabulary(vocab: Vocabulary, path: str) -> None:
 def load_vocabulary(path: str) -> Vocabulary:
     vocab = Vocabulary()
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if header[0] != _VOCAB_MAGIC or int(header[1]) != _VOCAB_VERSION:
+        if fh.readline().rstrip("\n") != f"{_VOCAB_MAGIC}\t{_VOCAB_VERSION}":
             raise DataError(f"{path}: not a version-{_VOCAB_VERSION} vocabulary file")
         section = None
         for lineno, line in enumerate(fh, start=2):
@@ -331,13 +327,17 @@ def load_vocabulary(path: str) -> Vocabulary:
                 section = line
                 continue
             parts = line.split("\t")
-            if section == "#tokens":
-                fname, token, idx = parts[0], parts[1], int(parts[2])
-                vocab.tokens.setdefault(fname, {})[token] = idx
-            elif section == "#numeric-stats":
-                vocab.numeric_stats[parts[0]] = (float(parts[1]), float(parts[2]))
-            else:
+            if section not in ("#tokens", "#numeric-stats"):
                 raise DataError(f"{path}:{lineno}: line outside a known section")
+            if len(parts) != 3:
+                raise DataError(f"{path}:{lineno}: expected 3 columns, got {len(parts)}")
+            try:
+                if section == "#tokens":
+                    vocab.tokens.setdefault(parts[0], {})[parts[1]] = int(parts[2])
+                else:
+                    vocab.numeric_stats[parts[0]] = (float(parts[1]), float(parts[2]))
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: malformed number") from None
     return vocab
 
 

@@ -13,14 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from contextnet.data import (
-    Batch,
     EncodedDataset,
     EncodedInstance,
     FieldSchema,
     NUMERICAL,
     Vocabulary,
 )
-from contextnet.model import ModelConfig, Parameters, instance_batch, predict
+from contextnet.model import ModelConfig, Params, instance_batch, predict
 
 IMPORTANCE_SUM = "sum"
 IMPORTANCE_NORM = "norm"
@@ -43,14 +42,14 @@ class ImportanceRow:
     score: float
 
 
-def _field_weights(final: np.ndarray, params: Parameters, config: ModelConfig):
+def _field_weights(final: np.ndarray, params: Params, config: ModelConfig):
     """Signed per-field logit contributions for a batch: [B, f]."""
-    w = params.head_w.reshape(config.n_fields, config.embed_dim)
+    w = params["head_w"].reshape(config.n_fields, config.embed_dim)
     return np.einsum("bfk,fk->bf", final, w)
 
 
 def instance_feature_weights(
-    params: Parameters,
+    params: Params,
     config: ModelConfig,
     instance: EncodedInstance,
     field_names: list[str] | None = None,
@@ -58,19 +57,19 @@ def instance_feature_weights(
     """Per-field contributions for one instance; they sum (with the
     intercept) to the prediction logit."""
     scores, tape = predict(instance_batch(instance), params, config)
-    fw = _field_weights(tape.final, params, config)[0]
+    fw = _field_weights(tape.stages[-1], params, config)[0]
     names = field_names or [f"field_{i}" for i in range(config.n_fields)]
     return FeatureWeightReport(
         field_names=list(names),
         weights=fw,
-        intercept=float(params.head_b[0]),
+        intercept=float(params["head_b"][0]),
         logit=float(tape.logits[0]),
         score=float(scores[0]),
     )
 
 
 def corpus_feature_importance(
-    params: Parameters,
+    params: Params,
     config: ModelConfig,
     dataset: EncodedDataset,
     schema: list[FieldSchema] | None = None,
@@ -91,18 +90,13 @@ def corpus_feature_importance(
     if mode not in (IMPORTANCE_SUM, IMPORTANCE_NORM):
         raise ValueError(f"unknown importance mode {mode!r}")
     n_fields = config.n_fields
-    cards = [t.shape[0] for t in params.embed]
+    cards = [params[f"embed.{i}"].shape[0] for i in range(n_fields)]
     sums = [np.zeros(c) for c in cards]
     counts = [np.zeros(c, dtype=np.int64) for c in cards]
     for start in range(0, len(dataset), chunk):
-        stop = min(start + chunk, len(dataset))
-        batch = Batch(
-            dataset.labels[start:stop],
-            dataset.indices[start:stop],
-            dataset.values[start:stop],
-        )
+        batch = dataset.take(slice(start, start + chunk))
         _, tape = predict(batch, params, config)
-        fw_abs = np.abs(_field_weights(tape.final, params, config))
+        fw_abs = np.abs(_field_weights(tape.stages[-1], params, config))
         for i in range(n_fields):
             np.add.at(sums[i], batch.indices[:, i], fw_abs[:, i])
             np.add.at(counts[i], batch.indices[:, i], 1)
@@ -130,7 +124,7 @@ def corpus_feature_importance(
 
 
 def block_dot_products(
-    params: Parameters, config: ModelConfig, instance: EncodedInstance
+    params: Params, config: ModelConfig, instance: EncodedInstance
 ) -> list[np.ndarray]:
     """Pairwise dot products between field embeddings at every stage.
 
@@ -138,15 +132,11 @@ def block_dot_products(
     layer and level l the l-th block's output.
     """
     _, tape = predict(instance_batch(instance), params, config)
-    stages = [tape.embed_out[0]] + [out[0] for out in _block_outputs(tape)]
     matrices = []
-    for e in stages:
+    for stage in tape.stages:
+        e = stage[0]
         g = e @ e.T
         g = np.triu(g) + np.triu(g, 1).T  # exactly symmetric by construction
         matrices.append(g)
     return matrices
 
-
-def _block_outputs(tape):
-    n = len(tape.block_in)
-    return [tape.block_in[i + 1] if i + 1 < n else tape.final for i in range(n)]

@@ -1,9 +1,10 @@
 """Model: embeddings, contextual embedding (TCE), refinement blocks, head.
 
-The forward pass keeps every intermediate needed by the hand-written
-backward pass in a TapeCache. Parameter sharing across blocks is realized
-by storing shared tensors once and resolving block -> storage slot, so
-gradients of shared tensors accumulate additively.
+Parameters are one ordered mapping from tensor name to array; param_shapes
+gives the names and their order. The forward pass keeps every intermediate
+needed by the hand-written backward pass in a TapeCache. Parameter sharing
+across blocks is realized by storing shared tensors once and resolving
+block -> storage slot, so gradients of shared tensors accumulate additively.
 
 Shapes follow the row-vector convention: a field embedding is a length-k
 row, a block maps [B, f, k] -> [B, f, k], and the prediction head is a
@@ -11,13 +12,12 @@ logistic regression over the flattened [B, f*k] output of the last block.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from contextnet.data import Batch, EncodedInstance
+from contextnet.data import EncodedDataset, EncodedInstance
 from contextnet.ops import (
-    LayerNormCache,
     Rng,
     ShapeError,
     col_sums,
@@ -41,6 +41,12 @@ _INIT_SALT = 0x1217
 
 # log-argument clamp for the cross-entropy loss
 _P_FLOOR = 1e-12
+
+# tensor name -> array, in param_shapes order
+Params = dict[str, np.ndarray]
+
+# tensors entering the L2 penalty: weights only, no biases or LN affine
+_REGULARIZED = ("embed", "agg_w", "proj_w", "ffn_w1", "ffn_w2", "head_w")
 
 
 @dataclass(frozen=True)
@@ -114,89 +120,54 @@ class ModelConfig:
         return 0 if self.n_proj_slots == 1 else block
 
 
-@dataclass
-class Parameters:
-    """All learnable tensors.
+def param_shapes(config: ModelConfig, cardinalities: list[int]) -> dict[str, tuple]:
+    """Name -> shape of every learnable tensor, in checkpoint order.
 
-    embed[i] is [cardinality_i, k]; numerical fields use a single row scaled
-    by the standardized value. agg/proj lists hold one entry per storage
-    slot (1 when shared across blocks, n_blocks otherwise). Biases exist
-    only where the architecture carries them: the sffn map has none.
+    Tensors come kind by kind (embed.0, embed.1, ..., agg_w.0, ...), then
+    head_w [f*k] and head_b [1]. embed.i is [cardinality_i, k]; numerical
+    fields use a single row scaled by the standardized value. agg/proj
+    tensors exist per storage slot (1 when shared across blocks, n_blocks
+    otherwise). Biases exist only where the architecture carries them: the
+    sffn map has none.
     """
-
-    embed: list[np.ndarray]
-    agg_w: list[np.ndarray] = field(default_factory=list)  # [t, m]
-    agg_b: list[np.ndarray] = field(default_factory=list)  # [t]
-    proj_w: list[np.ndarray] = field(default_factory=list)  # [f, k, t]
-    proj_b: list[np.ndarray] = field(default_factory=list)  # [f, k]
-    ffn_w1: list[np.ndarray] = field(default_factory=list)  # [k, k]
-    ffn_b1: list[np.ndarray] = field(default_factory=list)  # [k] (pffn)
-    ffn_w2: list[np.ndarray] = field(default_factory=list)  # [k, k] (pffn)
-    ffn_b2: list[np.ndarray] = field(default_factory=list)  # [k] (pffn)
-    ln_gain: list[np.ndarray] = field(default_factory=list)  # [k]
-    ln_bias: list[np.ndarray] = field(default_factory=list)  # [k]
-    head_w: np.ndarray = None  # [f*k]
-    head_b: np.ndarray = None  # [1]
-
-    _GROUPS = (
-        "embed",
-        "agg_w",
-        "agg_b",
-        "proj_w",
-        "proj_b",
-        "ffn_w1",
-        "ffn_b1",
-        "ffn_w2",
-        "ffn_b2",
-        "ln_gain",
-        "ln_bias",
-    )
-    # tensors entering the L2 penalty: weights only, no biases or LN affine
-    _REGULARIZED = ("embed", "agg_w", "proj_w", "ffn_w1", "ffn_w2", "head_w")
-
-    def named_tensors(self) -> list[tuple[str, np.ndarray]]:
-        """Canonical (name, array) declaration order used by the optimizer,
-        checkpoints, and gradient checks."""
-        out = []
-        for group in self._GROUPS:
-            for i, arr in enumerate(getattr(self, group)):
-                out.append((f"{group}.{i}", arr))
-        out.append(("head_w", self.head_w))
-        out.append(("head_b", self.head_b))
-        return out
-
-    def zeros_like(self) -> "Parameters":
-        return Parameters(
-            embed=[np.zeros_like(a) for a in self.embed],
-            agg_w=[np.zeros_like(a) for a in self.agg_w],
-            agg_b=[np.zeros_like(a) for a in self.agg_b],
-            proj_w=[np.zeros_like(a) for a in self.proj_w],
-            proj_b=[np.zeros_like(a) for a in self.proj_b],
-            ffn_w1=[np.zeros_like(a) for a in self.ffn_w1],
-            ffn_b1=[np.zeros_like(a) for a in self.ffn_b1],
-            ffn_w2=[np.zeros_like(a) for a in self.ffn_w2],
-            ffn_b2=[np.zeros_like(a) for a in self.ffn_b2],
-            ln_gain=[np.zeros_like(a) for a in self.ln_gain],
-            ln_bias=[np.zeros_like(a) for a in self.ln_bias],
-            head_w=np.zeros_like(self.head_w),
-            head_b=np.zeros_like(self.head_b),
+    if len(cardinalities) != config.n_fields:
+        raise ShapeError(
+            f"{len(cardinalities)} cardinalities for {config.n_fields} fields"
         )
+    k, t, f, m = config.embed_dim, config.agg_width, config.n_fields, config.flat_dim
+    n_ffn = config.n_blocks if config.has_ffn else 0
+    n_pffn = n_ffn if config.variant == PFFN else 0
+    n_ln = config.n_blocks if config.has_ln else 0
+    shapes = {f"embed.{i}": (card, k) for i, card in enumerate(cardinalities)}
+    for kind, count, shape in (
+        ("agg_w", config.n_agg_slots, (t, m)),
+        ("agg_b", config.n_agg_slots, (t,)),
+        ("proj_w", config.n_proj_slots, (f, k, t)),
+        ("proj_b", config.n_proj_slots, (f, k)),
+        ("ffn_w1", n_ffn, (k, k)),
+        ("ffn_b1", n_pffn, (k,)),
+        ("ffn_w2", n_pffn, (k, k)),
+        ("ffn_b2", n_pffn, (k,)),
+        ("ln_gain", n_ln, (k,)),
+        ("ln_bias", n_ln, (k,)),
+    ):
+        shapes.update((f"{kind}.{i}", shape) for i in range(count))
+    shapes["head_w"] = (m,)
+    shapes["head_b"] = (1,)
+    return shapes
 
-    def copy(self) -> "Parameters":
-        c = self.zeros_like()
-        for (_, dst), (_, src) in zip(c.named_tensors(), self.named_tensors()):
-            dst[...] = src
-        return c
 
-    def size(self) -> int:
-        return sum(a.size for _, a in self.named_tensors())
+def _regularized(name: str) -> bool:
+    return name.partition(".")[0] in _REGULARIZED
 
-    def regularized_tensors(self) -> list[tuple[str, np.ndarray]]:
-        return [
-            (name, arr)
-            for name, arr in self.named_tensors()
-            if name.split(".")[0] in self._REGULARIZED
-        ]
+
+def _draw_order(name: str) -> tuple[bool, int]:
+    """Random draws run embed, agg_w, proj_w, then block by block ffn_w1
+    before ffn_w2 -- not the checkpoint order, which lists every ffn_w1
+    before any ffn_w2. Same-seed checkpoints depend on both orders."""
+    kind, _, index = name.partition(".")
+    ffn = kind.startswith("ffn")
+    return ffn, int(index) if ffn else 0
 
 
 def init_params(
@@ -204,7 +175,7 @@ def init_params(
     cardinalities: list[int],
     seed: int,
     pos_rate: float | None = None,
-) -> Parameters:
+) -> Params:
     """Allocate and initialize every tensor the configuration calls for.
 
     Embeddings start small (Normal, std 0.01), fully connected weights use
@@ -213,76 +184,49 @@ def init_params(
     training positive rate when known, so the initial predictions are
     calibrated to the base rate.
     """
-    if len(cardinalities) != config.n_fields:
-        raise ShapeError(
-            f"{len(cardinalities)} cardinalities for {config.n_fields} fields"
-        )
+    shapes = param_shapes(config, cardinalities)
     rng = Rng(mix_seed(seed, _INIT_SALT))
-    k = config.embed_dim
-    t = config.agg_width
-    f = config.n_fields
-    m = config.flat_dim
-
-    def glorot(shape, fan_in, fan_out):
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-bound, bound, shape)
-
-    params = Parameters(
-        embed=[rng.normal((card, k), scale=0.01) for card in cardinalities]
-    )
-    for _ in range(config.n_agg_slots):
-        params.agg_w.append(glorot((t, m), m, t))
-        params.agg_b.append(np.zeros(t))
-    for _ in range(config.n_proj_slots):
-        params.proj_w.append(glorot((f, k, t), t, k))
-        params.proj_b.append(np.zeros((f, k)))
-    if config.has_ffn:
-        for _ in range(config.n_blocks):
-            params.ffn_w1.append(glorot((k, k), k, k))
-            if config.variant == PFFN:
-                params.ffn_b1.append(np.zeros(k))
-                params.ffn_w2.append(glorot((k, k), k, k))
-                params.ffn_b2.append(np.zeros(k))
-    if config.has_ln:
-        for _ in range(config.n_blocks):
-            params.ln_gain.append(np.ones(k))
-            params.ln_bias.append(np.zeros(k))
-    params.head_w = np.zeros(m)
-    bias = 0.0
+    params = {}
+    for name in sorted(shapes, key=_draw_order):
+        kind, shape = name.partition(".")[0], shapes[name]
+        if kind == "embed":
+            params[name] = rng.normal(shape, scale=0.01)
+        elif kind in ("agg_w", "proj_w", "ffn_w1", "ffn_w2"):
+            bound = np.sqrt(6.0 / (shape[-1] + shape[-2]))  # [.., fan_out, fan_in]
+            params[name] = rng.uniform(-bound, bound, shape)
+        elif kind == "ln_gain":
+            params[name] = np.ones(shape)
+        else:
+            params[name] = np.zeros(shape)
     if pos_rate is not None:
-        bias = logit(min(max(pos_rate, 1e-6), 1.0 - 1e-6))
-    params.head_b = np.array([bias])
-    return params
+        params["head_b"][0] = logit(min(max(pos_rate, 1e-6), 1.0 - 1e-6))
+    return {name: params[name] for name in shapes}
 
 
 @dataclass
 class TapeCache:
     """Forward intermediates consumed by the backward pass (one per batch)."""
 
-    batch: Batch
-    embed_out: np.ndarray  # [B, f, k]
-    embed_flat: np.ndarray  # [B, m]; also the TCE input for every block
-    tce_inputs: list  # per block: the embed_flat object itself
-    agg_pre: list  # per block: [B, t] pre-activation (None when merged out)
-    agg_act: list  # per block: [B, t]
-    context: list  # per block: [B, f, k] contextual embeddings
-    block_in: list  # per block: [B, f, k] input embeddings
-    merged: list  # per block: [B, f, k] Hadamard-merged embeddings
-    ffn_pre: list  # per block: pffn pre-activation, else None
-    ffn_hidden: list  # per block: pffn hidden, else None
-    ffn_out: list  # per block: [B, f, k] pre-LN output
-    ln: list  # per block: LayerNormCache or None
-    final: np.ndarray  # [B, f, k]
-    final_flat: np.ndarray  # [B, m]
-    logits: np.ndarray  # [B]
-    scores: np.ndarray  # [B]
+    batch: EncodedDataset
+    stages: list  # [e0 .. eL]: embedding layer, then block outputs, [B, f, k]
+    # per block, None where the configuration lacks the component:
+    agg_pre: list = field(default_factory=list)  # [B, t] aggregation pre-activation
+    agg_act: list = field(default_factory=list)  # [B, t]
+    context: list = field(default_factory=list)  # [B, f, k] contextual embeddings
+    merged: list = field(default_factory=list)  # [B, f, k] Hadamard-merged
+    ffn_pre: list = field(default_factory=list)  # pffn pre-activation
+    ffn_hidden: list = field(default_factory=list)  # pffn hidden
+    ln: list = field(default_factory=list)  # LayerNormCache
+    logits: np.ndarray = None  # [B]
+    scores: np.ndarray = None  # [B]
 
 
-def embed(batch: Batch, params: Parameters, config: ModelConfig) -> np.ndarray:
+def embed(batch: EncodedDataset, params: Params, config: ModelConfig) -> np.ndarray:
     """Look up and scale per-field embeddings; returns [B, f, k]."""
     B = len(batch)
     out = np.empty((B, config.n_fields, config.embed_dim))
-    for i, table in enumerate(params.embed):
+    for i in range(config.n_fields):
+        table = params[f"embed.{i}"]
         idx = batch.indices[:, i]
         if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
             raise IndexError(
@@ -292,160 +236,76 @@ def embed(batch: Batch, params: Parameters, config: ModelConfig) -> np.ndarray:
     return out
 
 
-def _context_embeddings(
-    embed_flat: np.ndarray, block: int, params: Parameters, config: ModelConfig
-):
-    """TCE for one block: aggregation over the whole embedding layer, then a
-    per-field projection back to embedding size. Input must be the
-    embedding-layer output, never a refined block output."""
-    sa = config.agg_slot(block)
-    sp = config.proj_slot(block)
-    agg_pre = embed_flat @ params.agg_w[sa].T + params.agg_b[sa]  # [B, t]
-    agg_act = relu(agg_pre)
-    proj = params.proj_w[sp]  # [f, k, t]
-    f, k, t = proj.shape
-    ce = (agg_act @ proj.reshape(f * k, t).T).reshape(-1, f, k) + params.proj_b[sp]
-    return agg_pre, agg_act, ce
-
-
-def tce_forward(
-    embed_flat: np.ndarray, block: int, fld: int, params: Parameters, config: ModelConfig
-) -> np.ndarray:
-    """Contextual embedding of one field for one block.
-
-    Accepts a single flattened embedding layer [m] or a batch [B, m].
-    """
-    single = embed_flat.ndim == 1
-    flat = embed_flat[None, :] if single else embed_flat
-    _, _, ce = _context_embeddings(flat, block, params, config)
-    out = ce[:, fld, :]
-    return out[0] if single else out
-
-
-def block_forward(
-    e_prev: np.ndarray,
-    context: np.ndarray | None,
-    block: int,
-    params: Parameters,
-    config: ModelConfig,
-) -> np.ndarray:
-    """One refinement block: Hadamard merge with the contextual embedding,
-    then the variant's feed-forward map. Accepts [f, k] or [B, f, k]."""
-    single = e_prev.ndim == 2
-    e = e_prev[None] if single else e_prev
-    ce = None if context is None else (context[None] if single else context)
-    _, _, _, _, out, _ = _block_apply(e, ce, block, params, config)
-    return out[0] if single else out
-
-
-def _block_apply(
-    e_prev: np.ndarray,
-    context: np.ndarray | None,
-    block: int,
-    params: Parameters,
-    config: ModelConfig,
-):
-    """Shared forward body; returns (merged, ffn_pre, ffn_hidden, ffn_out,
-    e_next, ln_cache)."""
-    if config.has_tce:
-        if context is None:
-            raise ValueError("block requires contextual embeddings")
-        merged = e_prev * context
-    else:
-        merged = e_prev
-    if not config.has_ffn:
-        return merged, None, None, None, merged, None
-
-    k = config.embed_dim
-    flat = merged.reshape(-1, k)
-    if config.variant == PFFN:
-        pre = (flat @ params.ffn_w1[block] + params.ffn_b1[block]).reshape(merged.shape)
-        hidden = relu(pre)
-        out = (
-            hidden.reshape(-1, k) @ params.ffn_w2[block] + params.ffn_b2[block]
-        ).reshape(merged.shape)
-        if not config.no_rc:
-            out = out + merged
-    else:
-        pre = None
-        hidden = None
-        out = (flat @ params.ffn_w1[block]).reshape(merged.shape)
-    if config.has_ln:
-        e_next, ln_cache = layer_norm(
-            out, params.ln_gain[block], params.ln_bias[block], LN_EPS
-        )
-    else:
-        e_next, ln_cache = out, None
-    return merged, pre, hidden, out, e_next, ln_cache
-
-
 def predict(
-    batch: Batch, params: Parameters, config: ModelConfig
+    batch: EncodedDataset, params: Params, config: ModelConfig
 ) -> tuple[np.ndarray, TapeCache]:
-    """Full forward pass; returns scores in (0, 1) and the tape for backward."""
+    """Full forward pass; returns scores in (0, 1) and the tape for backward.
+
+    Each block merges its input with a contextual embedding (Hadamard
+    product), then applies the variant's feed-forward map and layer norm.
+    Every block's context is aggregated from the embedding layer, never
+    from a refined block output.
+    """
     B = len(batch)
+    f, k, t = config.n_fields, config.embed_dim, config.agg_width
     e0 = embed(batch, params, config)
     e0_flat = e0.reshape(B, config.flat_dim)
-    tape = TapeCache(
-        batch=batch,
-        embed_out=e0,
-        embed_flat=e0_flat,
-        tce_inputs=[],
-        agg_pre=[],
-        agg_act=[],
-        context=[],
-        block_in=[],
-        merged=[],
-        ffn_pre=[],
-        ffn_hidden=[],
-        ffn_out=[],
-        ln=[],
-        final=None,
-        final_flat=None,
-        logits=None,
-        scores=None,
-    )
+    tape = TapeCache(batch, [e0])
     e_cur = e0
     for block in range(config.n_blocks):
+        agg_pre = agg_act = ce = pre = hidden = ln_cache = None
+        merged = e_cur
         if config.has_tce:
-            tape.tce_inputs.append(e0_flat)
-            agg_pre, agg_act, ce = _context_embeddings(e0_flat, block, params, config)
-        else:
-            tape.tce_inputs.append(None)
-            agg_pre = agg_act = ce = None
-        merged, pre, hidden, out, e_next, ln_cache = _block_apply(
-            e_cur, ce, block, params, config
-        )
+            sa = config.agg_slot(block)
+            sp = config.proj_slot(block)
+            agg_pre = e0_flat @ params[f"agg_w.{sa}"].T + params[f"agg_b.{sa}"]
+            agg_act = relu(agg_pre)
+            proj = params[f"proj_w.{sp}"].reshape(f * k, t)
+            ce = (agg_act @ proj.T).reshape(-1, f, k) + params[f"proj_b.{sp}"]
+            merged = e_cur * ce
+        e_next = merged
+        if config.has_ffn:
+            flat = merged.reshape(-1, k)
+            w1 = params[f"ffn_w1.{block}"]
+            if config.variant == PFFN:
+                pre = (flat @ w1 + params[f"ffn_b1.{block}"]).reshape(merged.shape)
+                hidden = relu(pre)
+                out = (
+                    hidden.reshape(-1, k) @ params[f"ffn_w2.{block}"]
+                    + params[f"ffn_b2.{block}"]
+                ).reshape(merged.shape)
+                if not config.no_rc:
+                    out = out + merged
+            else:
+                out = (flat @ w1).reshape(merged.shape)
+            e_next = out
+            if config.has_ln:
+                e_next, ln_cache = layer_norm(
+                    out, params[f"ln_gain.{block}"], params[f"ln_bias.{block}"], LN_EPS
+                )
         tape.agg_pre.append(agg_pre)
         tape.agg_act.append(agg_act)
         tape.context.append(ce)
-        tape.block_in.append(e_cur)
         tape.merged.append(merged)
         tape.ffn_pre.append(pre)
         tape.ffn_hidden.append(hidden)
-        tape.ffn_out.append(out)
         tape.ln.append(ln_cache)
+        tape.stages.append(e_next)
         e_cur = e_next
-    tape.final = e_cur
-    tape.final_flat = e_cur.reshape(B, config.flat_dim)
-    tape.logits = tape.final_flat @ params.head_w + params.head_b[0]
+    final_flat = e_cur.reshape(B, config.flat_dim)
+    tape.logits = final_flat @ params["head_w"] + params["head_b"][0]
     tape.scores = sigmoid(tape.logits)
     return tape.scores, tape
 
 
 def predict_scores(
-    dataset, params: Parameters, config: ModelConfig, chunk: int = 8192
+    dataset: EncodedDataset, params: Params, config: ModelConfig, chunk: int = 8192
 ) -> np.ndarray:
     """Score a dataset in fixed-order chunks (no tape retained)."""
     out = np.empty(len(dataset))
     for start in range(0, len(dataset), chunk):
-        stop = min(start + chunk, len(dataset))
-        b = Batch(
-            dataset.labels[start:stop],
-            dataset.indices[start:stop],
-            dataset.values[start:stop],
-        )
-        out[start:stop] = predict(b, params, config)[0]
+        rows = slice(start, start + chunk)
+        out[rows] = predict(dataset.take(rows), params, config)[0]
     return out
 
 
@@ -455,14 +315,14 @@ def bce_loss(scores: np.ndarray, labels: np.ndarray) -> float:
     return float(-np.mean(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)))
 
 
-def l2_norm(params: Parameters) -> float:
+def l2_norm(params: Params) -> float:
     """Sum of squares over the regularized tensors (weights, not biases)."""
-    return float(sum(np.sum(a * a) for _, a in params.regularized_tensors()))
+    return float(sum(np.sum(a * a) for n, a in params.items() if _regularized(n)))
 
 
 def loss_and_grads(
-    batch: Batch, params: Parameters, config: ModelConfig
-) -> tuple[float, Parameters]:
+    batch: EncodedDataset, params: Params, config: ModelConfig
+) -> tuple[float, Params]:
     """Mean cross-entropy plus l2 penalty and its exact gradients.
 
     The reverse pass mirrors the forward tape: head -> blocks -> contextual
@@ -471,76 +331,73 @@ def loss_and_grads(
     additionally receives 2 * l2 * w.
     """
     scores, tape = predict(batch, params, config)
-    loss = bce_loss(scores, tape.batch.labels)
+    loss = bce_loss(scores, batch.labels)
     objective = loss
-    grads = params.zeros_like()
+    grads = {name: np.zeros_like(a) for name, a in params.items()}
     B = len(batch)
     k = config.embed_dim
 
-    dlogits = (scores - tape.batch.labels) / B
-    grads.head_w[...] = tape.final_flat.T @ dlogits
-    grads.head_b[0] = dlogits.sum()
-    d_cur = np.outer(dlogits, params.head_w).reshape(B, config.n_fields, k)
-    d_e0_flat = np.zeros_like(tape.embed_flat)
+    dlogits = (scores - batch.labels) / B
+    grads["head_w"][...] = tape.stages[-1].reshape(B, config.flat_dim).T @ dlogits
+    grads["head_b"][0] = dlogits.sum()
+    d_cur = np.outer(dlogits, params["head_w"]).reshape(B, config.n_fields, k)
+    e0_flat = tape.stages[0].reshape(B, config.flat_dim)
+    d_e0_flat = np.zeros_like(e0_flat)
 
     for block in reversed(range(config.n_blocks)):
         merged = tape.merged[block]
-        if not config.has_ffn:
-            d_merged = d_cur
-        else:
+        d_merged = d_cur
+        if config.has_ffn:
+            d_out = d_cur
             if config.has_ln:
                 d_out, dgain, dbias = layer_norm_backward(tape.ln[block], d_cur)
-                grads.ln_gain[block] += dgain
-                grads.ln_bias[block] += dbias
-            else:
-                d_out = d_cur
+                grads[f"ln_gain.{block}"] += dgain
+                grads[f"ln_bias.{block}"] += dbias
             d_out_flat = d_out.reshape(-1, k)
+            w1 = params[f"ffn_w1.{block}"]
             if config.variant == PFFN:
+                w2 = params[f"ffn_w2.{block}"]
                 hidden_flat = tape.ffn_hidden[block].reshape(-1, k)
-                grads.ffn_w2[block] += hidden_flat.T @ d_out_flat
-                grads.ffn_b2[block] += col_sums(d_out_flat)
-                d_hidden = (d_out_flat @ params.ffn_w2[block].T).reshape(merged.shape)
+                grads[f"ffn_w2.{block}"] += hidden_flat.T @ d_out_flat
+                grads[f"ffn_b2.{block}"] += col_sums(d_out_flat)
+                d_hidden = (d_out_flat @ w2.T).reshape(merged.shape)
                 d_pre = np.where(tape.ffn_pre[block] > 0.0, d_hidden, 0.0)
                 d_pre_flat = d_pre.reshape(-1, k)
-                grads.ffn_w1[block] += merged.reshape(-1, k).T @ d_pre_flat
-                grads.ffn_b1[block] += col_sums(d_pre_flat)
-                d_merged = (d_pre_flat @ params.ffn_w1[block].T).reshape(merged.shape)
+                grads[f"ffn_w1.{block}"] += merged.reshape(-1, k).T @ d_pre_flat
+                grads[f"ffn_b1.{block}"] += col_sums(d_pre_flat)
+                d_merged = (d_pre_flat @ w1.T).reshape(merged.shape)
                 if not config.no_rc:
                     d_merged = d_merged + d_out
             else:
-                grads.ffn_w1[block] += merged.reshape(-1, k).T @ d_out_flat
-                d_merged = (d_out_flat @ params.ffn_w1[block].T).reshape(merged.shape)
+                grads[f"ffn_w1.{block}"] += merged.reshape(-1, k).T @ d_out_flat
+                d_merged = (d_out_flat @ w1.T).reshape(merged.shape)
 
+        d_cur = d_merged
         if config.has_tce:
-            ce = tape.context[block]
-            d_prev = d_merged * ce
-            d_ce = d_merged * tape.block_in[block]
+            d_cur = d_merged * tape.context[block]
+            d_ce_flat = (d_merged * tape.stages[block]).reshape(B, -1)  # [B, f*k]
             sa = config.agg_slot(block)
             sp = config.proj_slot(block)
-            proj = params.proj_w[sp]
-            d_ce_flat = d_ce.reshape(B, -1)  # [B, f*k]
-            grads.proj_w[sp] += (d_ce_flat.T @ tape.agg_act[block]).reshape(proj.shape)
-            grads.proj_b[sp] += col_sums(d_ce_flat).reshape(grads.proj_b[sp].shape)
+            proj = params[f"proj_w.{sp}"]
+            d_proj = d_ce_flat.T @ tape.agg_act[block]
+            grads[f"proj_w.{sp}"] += d_proj.reshape(proj.shape)
+            grads[f"proj_b.{sp}"] += col_sums(d_ce_flat).reshape(proj.shape[:2])
             d_act = d_ce_flat @ proj.reshape(d_ce_flat.shape[1], -1)
             d_agg_pre = np.where(tape.agg_pre[block] > 0.0, d_act, 0.0)
-            grads.agg_w[sa] += d_agg_pre.T @ tape.embed_flat
-            grads.agg_b[sa] += col_sums(d_agg_pre)
-            d_e0_flat += d_agg_pre @ params.agg_w[sa]
-        else:
-            d_prev = d_merged
-        d_cur = d_prev
+            grads[f"agg_w.{sa}"] += d_agg_pre.T @ e0_flat
+            grads[f"agg_b.{sa}"] += col_sums(d_agg_pre)
+            d_e0_flat += d_agg_pre @ params[f"agg_w.{sa}"]
 
     d_e0 = d_cur + d_e0_flat.reshape(B, config.n_fields, k)
-    for i, table in enumerate(params.embed):
-        contrib = d_e0[:, i, :] * tape.batch.values[:, i, None]
-        np.add.at(grads.embed[i], tape.batch.indices[:, i], contrib)
+    for i in range(config.n_fields):
+        contrib = d_e0[:, i, :] * batch.values[:, i, None]
+        np.add.at(grads[f"embed.{i}"], batch.indices[:, i], contrib)
 
     if config.l2 > 0.0:
         objective = loss + config.l2 * l2_norm(params)
-        for (_, g), (_, w) in zip(
-            grads.regularized_tensors(), params.regularized_tensors()
-        ):
-            g += 2.0 * config.l2 * w
+        for name, w in params.items():
+            if _regularized(name):
+                grads[name] += 2.0 * config.l2 * w
     return objective, grads
 
 
@@ -564,14 +421,10 @@ def param_count(config: ModelConfig, cardinalities: list[int]) -> int:
     return total
 
 
-def instance_batch(instance: EncodedInstance) -> Batch:
-    """Wrap one encoded instance as a batch of size 1."""
-    return Batch(
+def instance_batch(instance: EncodedInstance) -> EncodedDataset:
+    """Wrap one encoded instance as a one-row dataset."""
+    return EncodedDataset(
         np.array([float(instance.label)]),
         instance.indices[None, :],
         instance.values[None, :],
     )
-
-
-def config_with(config: ModelConfig, **changes) -> ModelConfig:
-    return replace(config, **changes)

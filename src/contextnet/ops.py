@@ -19,36 +19,8 @@ def _all_finite(a: np.ndarray) -> bool:
     return bool(np.all(np.isfinite(a)))
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-major matrix product accumulated in ascending inner-index order.
-
-    The explicit accumulation order makes results reproducible down to the
-    last bit against a naive triple-loop reference (BLAS reorders sums).
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}: inner dims differ")
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for inner in range(a.shape[1]):
-        out += a[:, inner, None] * b[inner, :]
-    assert _all_finite(out), "matmul produced non-finite values"
-    return out
-
-
 def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
-
-
-def relu_backward(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """Gradient of relu; the subgradient at exactly 0 is taken as 0."""
-    x = np.asarray(x)
-    dy = np.asarray(dy)
-    if x.shape != dy.shape:
-        raise ShapeError(f"relu_backward shapes differ: {x.shape} vs {dy.shape}")
-    return np.where(x > 0.0, dy, 0.0)
 
 
 class LayerNormCache(NamedTuple):

@@ -8,7 +8,7 @@ import numpy as np
 
 from contextnet.data import EncodedDataset, batch_iter
 from contextnet.metrics import auc, logloss
-from contextnet.model import ModelConfig, Parameters, loss_and_grads, predict_scores
+from contextnet.model import ModelConfig, Params, loss_and_grads, predict_scores
 from contextnet.ops import ShapeError
 
 
@@ -36,6 +36,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not 0.0 < self.lr < float("inf"):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if self.patience < 0:
             raise ValueError("patience must be >= 0")
         if self.eval_every < 1:
@@ -80,26 +82,24 @@ class AdamState:
     eps: float = 1e-8
 
 
-def init_adam(params: Parameters, lr: float = 1e-4) -> AdamState:
-    named = params.named_tensors()
+def init_adam(params: Params, lr: float = 1e-4) -> AdamState:
     return AdamState(
-        m=[np.zeros_like(a) for _, a in named],
-        v=[np.zeros_like(a) for _, a in named],
+        m=[np.zeros_like(a) for a in params.values()],
+        v=[np.zeros_like(a) for a in params.values()],
         lr=lr,
     )
 
 
-def adam_step(params: Parameters, grads: Parameters, state: AdamState) -> None:
+def adam_step(params: Params, grads: Params, state: AdamState) -> None:
     """One bias-corrected Adam update, applied tensor-wise in place."""
     state.step += 1
     t = state.step
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
-    p_named = params.named_tensors()
-    g_named = grads.named_tensors()
-    if len(p_named) != len(g_named):
+    if grads.keys() != params.keys():
         raise ShapeError("gradient structure does not match parameters")
-    for i, ((_, p), (_, g)) in enumerate(zip(p_named, g_named)):
+    for i, (name, p) in enumerate(params.items()):
+        g = grads[name]
         if p.shape != g.shape:
             raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
         m = state.m[i]
@@ -113,21 +113,23 @@ def adam_step(params: Parameters, grads: Parameters, state: AdamState) -> None:
 
 def train(
     config: ModelConfig,
-    params: Parameters,
+    params: Params,
     train_set: EncodedDataset,
     val_set: EncodedDataset,
     tconf: TrainConfig,
-) -> tuple[Parameters, TrainHistory]:
+) -> tuple[Params, TrainHistory]:
     """Epoch loop: shuffled batches, Adam updates, validation-AUC stopping.
 
     Keeps a copy of the parameters at the best validation AUC and stops once
     more than `patience` consecutive evaluations fail to improve (patience 0
     stops at the first non-improving evaluation). Fully deterministic for a
-    fixed (seed, configs, data).
+    fixed (seed, configs, data). A validation set of one class is rejected
+    before the first epoch, since its AUC is undefined.
     """
+    val_set.require_both_classes("the validation split")
     state = init_adam(params, tconf.lr)
     history = TrainHistory()
-    best = params.copy()
+    best = {name: a.copy() for name, a in params.items()}
     best_auc = -np.inf
     stale = 0
     for epoch in range(tconf.max_epochs):
@@ -160,7 +162,7 @@ def train(
         if evaluate_now:
             if val_auc > best_auc:
                 best_auc = val_auc
-                best = params.copy()
+                best = {name: a.copy() for name, a in params.items()}
                 history.best_epoch = epoch
                 history.best_val_auc = val_auc
                 stale = 0

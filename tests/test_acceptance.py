@@ -6,15 +6,16 @@ output. The two training criteria build synthetic datasets at desk scale
 several models; expect the module to take tens of minutes on one CPU.
 """
 import itertools
+import multiprocessing
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 from contextnet.cli import main as cli_main
 from contextnet.data import (
-    Batch,
     EncodedDataset,
     EncodedInstance,
     build_vocabulary,
@@ -67,19 +68,17 @@ def _grad_cases():
 def _max_rel_grad_error(config, cards, seed):
     rng = Rng(seed)
     params = init_params(config, cards, seed)
-    for _, tensor in params.named_tensors():
+    for tensor in params.values():
         tensor[...] = rng.normal(tensor.shape, scale=0.4)
     idx = np.stack([rng.integers(0, c, (6,)) for c in cards], axis=1)
-    batch = Batch(
+    batch = EncodedDataset(
         (rng.random((6,)) < 0.5).astype(float), idx, np.ones((6, len(cards)))
     )
     _, grads = loss_and_grads(batch, params, config)
     worst = 0.0
-    for (name, tensor), (_, grad) in zip(
-        params.named_tensors(), grads.named_tensors()
-    ):
+    for name, tensor in params.items():
         flat = tensor.reshape(-1)
-        gflat = grad.reshape(-1)
+        gflat = grads[name].reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + GRAD_STEP
@@ -135,19 +134,19 @@ def test_criterion_02_lr_degeneracy():
     config = ModelConfig(n_fields=4, embed_dim=6, n_blocks=0)
     rng = Rng(42)
     params = init_params(config, cards, seed=42)
-    params.head_w[...] = rng.normal((24,))
-    params.head_b[0] = rng.normal()
+    params["head_w"][...] = rng.normal((24,))
+    params["head_b"][0] = rng.normal()
     idx = np.stack([rng.integers(0, c, (1000,)) for c in cards], axis=1)
     values = rng.normal((1000, 4), loc=1.0, scale=0.5)
-    batch = Batch(np.zeros(1000), idx, values)
+    batch = EncodedDataset(np.zeros(1000), idx, values)
     scores, _ = predict(batch, params, config)
 
     worst = 0.0
     for i in range(1000):
-        acc = float(params.head_b[0])
+        acc = float(params["head_b"][0])
         for fld in range(4):
-            e = params.embed[fld][idx[i, fld]] * values[i, fld]
-            acc += float(np.dot(params.head_w[fld * 6 : (fld + 1) * 6], e))
+            e = params[f"embed.{fld}"][idx[i, fld]] * values[i, fld]
+            acc += float(np.dot(params["head_w"][fld * 6 : (fld + 1) * 6], e))
         lr_score = 1.0 / (1.0 + np.exp(-acc))
         worst = max(worst, abs(scores[i] - lr_score))
     assert worst < 1e-12
@@ -166,24 +165,21 @@ def test_criterion_03_hadamard_identity():
     )
     params = init_params(deep_config, cards, seed=7)
     rng = Rng(8)
-    params.head_w[...] = rng.normal((12,))
-    params.head_b[0] = -0.4
-    for s in range(deep_config.n_agg_slots):
-        params.agg_w[s][...] = 0.0
-        params.agg_b[s][...] = 0.0
-    for s in range(deep_config.n_proj_slots):
-        params.proj_w[s][...] = 0.0
-        params.proj_b[s][...] = 1.0  # context embedding forced to all-ones
+    params["head_w"][...] = rng.normal((12,))
+    params["head_b"][0] = -0.4
+    for name, tensor in params.items():
+        if name.startswith(("agg_", "proj_w")):
+            tensor[...] = 0.0
+        elif name.startswith("proj_b"):
+            tensor[...] = 1.0  # context embedding forced to all-ones
 
     l0_config = ModelConfig(n_fields=3, embed_dim=4, n_blocks=0)
     l0_params = init_params(l0_config, cards, seed=7)
-    for i in range(3):
-        l0_params.embed[i][...] = params.embed[i]
-    l0_params.head_w[...] = params.head_w
-    l0_params.head_b[...] = params.head_b
+    for name, tensor in l0_params.items():
+        tensor[...] = params[name]
 
     idx = np.stack([rng.integers(0, c, (512,)) for c in cards], axis=1)
-    batch = Batch(np.zeros(512), idx, np.ones((512, 3)))
+    batch = EncodedDataset(np.zeros(512), idx, np.ones((512, 3)))
     deep, _ = predict(batch, params, deep_config)
     shallow, _ = predict(batch, l0_params, l0_config)
     assert np.array_equal(deep, shallow)
@@ -269,7 +265,7 @@ def test_criterion_06_parameter_counts():
             sharing=sharing,
         )
         closed = emb + head + tce[sharing] + ffn[variant] + ln
-        allocated = init_params(config, cards, seed=0).size()
+        allocated = sum(t.size for t in init_params(config, cards, seed=0).values())
         assert allocated == closed, (sharing, variant)
         assert param_count(config, cards) == closed, (sharing, variant)
 
@@ -345,12 +341,39 @@ def test_criterion_07_synthetic_oracle_learning(tmp_path):
 
 ML1M_CARDS = (2, 7, 21, 500, 800, 18, 81)
 
+# tag -> ModelConfig flags, longest run first so that the two workers
+# finish close together
+ML1M_RUNS = (
+    ("pffn-rc", {"variant": "pffn", "no_rc": True}),
+    ("pffn-ln", {"variant": "pffn", "no_ln": True}),
+    ("sffn", {"variant": "sffn"}),
+    ("pffn", {"variant": "pffn"}),
+    ("pffn-tce", {"variant": "pffn", "no_tce": True}),
+)
+
+# (train, val, test, cardinalities, positive rate); set before the worker
+# processes fork, so they share it instead of receiving a pickled copy
+_ml1m_splits = None
+
+
+def _ml1m_test_auc(kwargs):
+    train_set, val_set, test_set, cards, pos_rate = _ml1m_splits
+    config = ModelConfig(n_fields=7, **kwargs)  # paper defaults k=10 t=20 L=3
+    params = init_params(config, cards, seed=7, pos_rate=pos_rate)
+    tconf = TrainConfig(batch_size=1024, lr=1e-4, max_epochs=20, patience=3, seed=11)
+    best, _ = train(config, params, train_set, val_set, tconf)
+    return auc(predict_scores(test_set, best, config), test_set.labels)
+
 
 @pytest.fixture(scope="module")
 def ml1m_results():
     """Train sffn, pffn, and the pffn ablations once on a million-row
     dataset with ML-1m-like field statistics (Zipf-skewed token
-    frequencies, pairwise multiplicative ground truth)."""
+    frequencies, pairwise multiplicative ground truth).
+
+    The five runs are independent and deterministic, so they run in two
+    worker processes; each gives the same AUC as it would in this one."""
+    global _ml1m_splits
     t0 = time.perf_counter()
     data = generate(
         SynthSpec(
@@ -366,25 +389,19 @@ def ml1m_results():
     n, f = data.tokens.shape
     ds = EncodedDataset(data.labels, data.tokens + 1, np.ones((n, f)))
     tr, va, te = split_indices(n, seed=11)
-    train_set, val_set, test_set = ds.take(tr), ds.take(va), ds.take(te)
-    cards = [c + 1 for c in ML1M_CARDS]
+    train_set = ds.take(tr)
     pos_rate = float(train_set.labels.mean())
-
+    _ml1m_splits = (
+        train_set, ds.take(va), ds.take(te), [c + 1 for c in ML1M_CARDS], pos_rate
+    )
+    fork = multiprocessing.get_context("fork")
+    try:
+        with ProcessPoolExecutor(2, mp_context=fork) as pool:
+            aucs = list(pool.map(_ml1m_test_auc, [kw for _, kw in ML1M_RUNS]))
+    finally:
+        _ml1m_splits = None
     results = {"bayes": data.bayes_auc}
-    for tag, kwargs in (
-        ("sffn", {"variant": "sffn"}),
-        ("pffn", {"variant": "pffn"}),
-        ("pffn-tce", {"variant": "pffn", "no_tce": True}),
-        ("pffn-ln", {"variant": "pffn", "no_ln": True}),
-        ("pffn-rc", {"variant": "pffn", "no_rc": True}),
-    ):
-        config = ModelConfig(n_fields=7, **kwargs)  # paper defaults k=10 t=20 L=3
-        params = init_params(config, cards, seed=7, pos_rate=pos_rate)
-        tconf = TrainConfig(
-            batch_size=1024, lr=1e-4, max_epochs=20, patience=3, seed=11
-        )
-        best, _ = train(config, params, train_set, val_set, tconf)
-        results[tag] = auc(predict_scores(test_set, best, config), test_set.labels)
+    results.update(zip([tag for tag, _ in ML1M_RUNS], aucs))
     results["seconds"] = time.perf_counter() - t0
     return results
 

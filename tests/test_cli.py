@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from contextnet.cli import main
+from contextnet.data import split_indices
 from contextnet.metrics import rela_imp
 from contextnet.ops import logit
 
@@ -127,6 +128,52 @@ class TestTrainCommand:
         assert code == 0
         assert os.path.exists(os.path.join(out, "metrics.txt"))
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--batch-size", "0"), ("--eval-every", "0"), ("--patience", "-1"), ("--lr", "nan")],
+    )
+    def test_bad_training_option_exits_2_with_one_line(
+        self, synth_dir, tmp_path, capsys, flag, value
+    ):
+        code = main(
+            [
+                "train",
+                "--data", os.path.join(synth_dir, "data.tsv"),
+                "--schema", os.path.join(synth_dir, "schema.tsv"),
+                "--out", str(tmp_path / "x"),
+                "--epochs", "1",
+                flag, value,
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("split, part", [("validation", 1), ("test", 2)])
+    def test_single_class_split_exits_3_before_training(
+        self, synth_dir, tmp_path, capsys, split, part
+    ):
+        lines = open(os.path.join(synth_dir, "data.tsv")).read().splitlines()
+        for i in split_indices(len(lines), seed=3)[part]:
+            lines[i] = "0" + lines[i][1:]
+        data = tmp_path / "data.tsv"
+        data.write_text("\n".join(lines) + "\n")
+        out = str(tmp_path / "x")
+        code = main(
+            [
+                "train",
+                "--data", str(data),
+                "--schema", os.path.join(synth_dir, "schema.tsv"),
+                "--out", out,
+                "--seed", "3",
+                "--epochs", "1",
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"the {split} split holds only one class" in err and err.count("\n") == 1
+        assert not os.path.exists(out)
+
     def test_unknown_ablation_rejected(self, synth_dir, tmp_path):
         code = main(
             [
@@ -227,6 +274,40 @@ class TestEvaluateCommand:
             ]
         )
         assert code == 3
+
+    def test_invalid_checkpoint_config_exits_3(self, synth_dir, run_dir, tmp_path, capsys):
+        blob = open(os.path.join(run_dir, "checkpoint.bin"), "rb").read()
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(blob.replace(b'"variant": "sffn"', b'"variant": "xffn"', 1))
+        assert bad.read_bytes() != blob
+        code = main(
+            [
+                "evaluate",
+                "--checkpoint", str(bad),
+                "--vocab", os.path.join(run_dir, "vocab.txt"),
+                "--schema", os.path.join(synth_dir, "schema.tsv"),
+                "--data", os.path.join(synth_dir, "data.tsv"),
+            ]
+        )
+        assert code == 3
+        assert "xffn" in capsys.readouterr().err
+
+    def test_single_class_data_exits_3(self, synth_dir, run_dir, tmp_path, capsys):
+        lines = open(os.path.join(synth_dir, "data.tsv")).read().splitlines()
+        data = tmp_path / "zeros.tsv"
+        data.write_text("".join("0" + line[1:] + "\n" for line in lines))
+        code = main(
+            [
+                "evaluate",
+                "--checkpoint", os.path.join(run_dir, "checkpoint.bin"),
+                "--vocab", os.path.join(run_dir, "vocab.txt"),
+                "--schema", os.path.join(synth_dir, "schema.tsv"),
+                "--data", str(data),
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "only one class" in err and err.count("\n") == 1
 
     def test_schema_mismatch_exits_3_naming_issue(self, synth_dir, run_dir, tmp_path, capsys):
         wrong = tmp_path / "schema.tsv"

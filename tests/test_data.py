@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contextnet.data import (
-    Batch,
     DataError,
     batch_iter,
     build_vocabulary,
@@ -214,6 +213,18 @@ class TestFiles:
         path = tmp_path / "vocab.txt"
         path.write_text("not-a-vocab\t1\n")
         with pytest.raises(DataError):
+            load_vocabulary(str(path))
+
+    def test_vocabulary_token_line_with_two_columns(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("#contextnet-vocab\t1\n#tokens\ncolor\tred\n")
+        with pytest.raises(DataError, match="vocab.txt:3"):
+            load_vocabulary(str(path))
+
+    def test_vocabulary_non_integer_index(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("#contextnet-vocab\t1\n#tokens\ncolor\tred\tone\n")
+        with pytest.raises(DataError, match="vocab.txt:3"):
             load_vocabulary(str(path))
 
     def test_load_records_checks_columns(self, schema, tmp_path):

@@ -6,7 +6,7 @@ here a representative subset guards day-to-day changes.
 import numpy as np
 import pytest
 
-from contextnet.data import Batch
+from contextnet.data import EncodedDataset
 from contextnet.model import ModelConfig, init_params, loss_and_grads
 from contextnet.ops import Rng
 
@@ -18,10 +18,10 @@ def randomized_model(config, cards, seed):
     """Parameters with O(0.3) magnitudes so every gradient path carries signal."""
     rng = Rng(seed)
     params = init_params(config, cards, seed)
-    for _, tensor in params.named_tensors():
+    for tensor in params.values():
         tensor[...] = rng.normal(tensor.shape, scale=0.4)
     idx = np.stack([rng.integers(0, c, (6,)) for c in cards], axis=1)
-    batch = Batch(
+    batch = EncodedDataset(
         (rng.random((6,)) < 0.5).astype(float), idx, np.ones((6, len(cards)))
     )
     return params, batch
@@ -31,9 +31,9 @@ def max_rel_error(config, cards, seed=0):
     params, batch = randomized_model(config, cards, seed)
     _, grads = loss_and_grads(batch, params, config)
     worst = 0.0
-    for (name, tensor), (_, grad) in zip(params.named_tensors(), grads.named_tensors()):
+    for name, tensor in params.items():
         flat = tensor.reshape(-1)
-        gflat = grad.reshape(-1)
+        gflat = grads[name].reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + FD_STEP
@@ -77,7 +77,7 @@ def test_no_tensor_is_detached():
     )
     params, batch = randomized_model(config, CARDS, seed=3)
     _, grads = loss_and_grads(batch, params, config)
-    for name, grad in grads.named_tensors():
+    for name, grad in grads.items():
         if name.startswith("embed"):
             continue  # rows for unseen tokens legitimately stay zero
         assert np.abs(grad).max() > 0.0, f"{name} received no gradient"
@@ -92,10 +92,8 @@ def test_l2_adds_two_lambda_theta():
     _, g0 = loss_and_grads(batch, params, base)
     _, g1 = loss_and_grads(batch, params, with_l2)
     regularized = {"embed", "agg_w", "proj_w", "ffn_w1", "ffn_w2", "head_w"}
-    for (name, a), (_, b), (_, w) in zip(
-        g0.named_tensors(), g1.named_tensors(), params.named_tensors()
-    ):
-        diff = b - a
+    for name, w in params.items():
+        diff = g1[name] - g0[name]
         if name.split(".")[0] in regularized:
             assert np.allclose(diff, 2 * 0.03 * w, atol=1e-13), name
         else:

@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from contextnet.data import (
-    Batch,
     EncodedDataset,
     EncodedInstance,
     build_vocabulary,
@@ -31,7 +30,7 @@ def trained_like_params(seed=0):
     """Random nonzero parameters standing in for a trained checkpoint."""
     rng = Rng(seed)
     params = init_params(CFG, CARDS, seed)
-    for _, t in params.named_tensors():
+    for t in params.values():
         t[...] = rng.normal(t.shape, scale=0.3)
     return params
 
@@ -158,7 +157,7 @@ class TestBlockDotProducts:
         inst = random_instance(Rng(20), CARDS)
         _, tape = predict(instance_batch(inst), params, CFG)
         mats = block_dot_products(params, CFG, inst)
-        embed_vectors = tape.embed_out[0]
+        embed_vectors = tape.stages[0][0]
         for i in range(3):
             # independent norm oracle: sum of squares via python loop
             want = sum(float(v) ** 2 for v in embed_vectors[i])

@@ -1,101 +1,141 @@
 """Model tests: initialization, forward contracts, sharing, counts, checkpoints."""
+import json
+import struct
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from contextnet import checkpoint as ckpt_module
 from contextnet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from contextnet.data import Batch
+from contextnet.data import EncodedDataset
 from contextnet.model import (
     ModelConfig,
-    Parameters,
     bce_loss,
-    block_forward,
-    config_with,
     embed,
     init_params,
-    instance_batch,
     l2_norm,
     loss_and_grads,
     param_count,
     predict,
-    predict_scores,
-    tce_forward,
 )
-from contextnet.ops import Rng, layer_norm, sigmoid
+from contextnet.ops import Rng, layer_norm, mix_seed, sigmoid
 
 
 def random_batch(rng, size, cards):
     f = len(cards)
     idx = np.stack([rng.integers(0, c, (size,)) for c in cards], axis=1)
     labels = (rng.random((size,)) < 0.5).astype(float)
-    return Batch(labels, idx, np.ones((size, f)))
+    return EncodedDataset(labels, idx, np.ones((size, f)))
+
+
+def randomized(params, seed):
+    """O(0.4) values in every tensor, so every path of the forward pass
+    carries signal."""
+    rng = Rng(seed)
+    for t in params.values():
+        t[...] = rng.normal(t.shape, scale=0.4)
+    return params
+
+
+def force_ones_context(params):
+    """Zero aggregation and projection weights with projection bias 1: every
+    block's contextual embedding becomes all ones (acceptance criterion 3)."""
+    for name, t in params.items():
+        if name.startswith(("agg_", "proj_w")):
+            t[...] = 0.0
+        elif name.startswith("proj_b"):
+            t[...] = 1.0
 
 
 CARDS = [5, 4, 3]
 CFG = ModelConfig(n_fields=3, embed_dim=4, agg_width=5, n_blocks=2)
+FIELDS = [("a", "cat"), ("b", "cat"), ("c", "cat")]
 
 
 class TestInit:
     def test_same_seed_bit_identical(self):
         a = init_params(CFG, CARDS, seed=9)
         b = init_params(CFG, CARDS, seed=9)
-        for (na, ta), (nb, tb) in zip(a.named_tensors(), b.named_tensors()):
+        for (na, ta), (nb, tb) in zip(a.items(), b.items()):
             assert na == nb
             assert np.array_equal(ta, tb)
 
     def test_ln_gain_ones_bias_zeros(self):
         p = init_params(CFG, CARDS, seed=0)
-        for g in p.ln_gain:
-            assert np.array_equal(g, np.ones(4))
-        for b in p.ln_bias:
-            assert not b.any()
+        for block in range(CFG.n_blocks):
+            assert np.array_equal(p[f"ln_gain.{block}"], np.ones(4))
+            assert not p[f"ln_bias.{block}"].any()
 
     def test_fan_based_bound_for_aggregation(self):
         # t=20, m=39*10=390 -> bound sqrt(6/410)
         config = ModelConfig(n_fields=39, embed_dim=10, agg_width=20, n_blocks=1)
         p = init_params(config, [3] * 39, seed=1)
         bound = np.sqrt(6.0 / (390 + 20))
-        w = p.agg_w[0]
+        w = p["agg_w.0"]
         assert np.abs(w).max() <= bound
         assert np.abs(w).max() > 0.9 * bound  # actually fills the range
 
     def test_head_starts_at_prior(self):
         p = init_params(CFG, CARDS, seed=0, pos_rate=0.25)
-        assert not p.head_w.any()
-        assert sigmoid(p.head_b[0]) == pytest.approx(0.25, abs=1e-12)
+        assert not p["head_w"].any()
+        assert sigmoid(p["head_b"][0]) == pytest.approx(0.25, abs=1e-12)
 
     def test_embedding_scale(self):
         p = init_params(CFG, CARDS, seed=3)
-        flat = np.concatenate([t.ravel() for t in p.embed])
+        flat = np.concatenate([p[f"embed.{i}"].ravel() for i in range(3)])
         assert abs(flat.std() - 0.01) < 0.003
 
     def test_cardinality_count_mismatch_rejected(self):
         with pytest.raises(Exception):
             init_params(CFG, [5, 4], seed=0)
 
+    def test_weights_drawn_block_by_block(self):
+        """The draw order (ffn_w1.b, then ffn_w2.b, per block) differs from
+        the mapping's order (every ffn_w1 before any ffn_w2)."""
+        config = replace(CFG, variant="pffn", sharing="agg")
+        p = init_params(config, CARDS, seed=4)
+        rng = Rng(mix_seed(4, 0x1217))
+        for i, card in enumerate(CARDS):
+            assert np.array_equal(p[f"embed.{i}"], rng.normal((card, 4), scale=0.01))
+
+        def glorot(name, fan_sum):
+            bound = np.sqrt(6.0 / fan_sum)
+            assert np.array_equal(p[name], rng.uniform(-bound, bound, p[name].shape))
+
+        glorot("agg_w.0", 12 + 5)
+        glorot("proj_w.0", 5 + 4)
+        glorot("proj_w.1", 5 + 4)
+        for block in range(2):
+            glorot(f"ffn_w1.{block}", 4 + 4)
+            glorot(f"ffn_w2.{block}", 4 + 4)
+
 
 class TestEmbed:
     def test_numeric_zero_value_gives_zero_vector(self):
         p = init_params(CFG, CARDS, seed=0)
-        batch = Batch(np.zeros(1), np.zeros((1, 3), dtype=np.int64), np.zeros((1, 3)))
+        batch = EncodedDataset(
+            np.zeros(1), np.zeros((1, 3), dtype=np.int64), np.zeros((1, 3))
+        )
         assert not embed(batch, p, CFG).any()
 
     def test_numeric_unit_value_returns_table_row(self):
         p = init_params(CFG, CARDS, seed=0)
-        batch = Batch(
+        batch = EncodedDataset(
             np.zeros(1),
             np.array([[2, 1, 0]], dtype=np.int64),
             np.array([[1.0, 1.0, 1.0]]),
         )
         e = embed(batch, p, CFG)
-        assert np.array_equal(e[0, 0], p.embed[0][2])
-        assert np.array_equal(e[0, 1], p.embed[1][1])
+        assert np.array_equal(e[0, 0], p["embed.0"][2])
+        assert np.array_equal(e[0, 1], p["embed.1"][1])
 
     def test_hand_lookup_two_fields_with_values(self):
         config = ModelConfig(n_fields=2, embed_dim=2, n_blocks=0)
         p = init_params(config, [2, 1], seed=0)
-        p.embed[0][...] = [[1.0, 2.0], [3.0, 4.0]]
-        p.embed[1][...] = [[5.0, 6.0]]
-        batch = Batch(
+        p["embed.0"][...] = [[1.0, 2.0], [3.0, 4.0]]
+        p["embed.1"][...] = [[5.0, 6.0]]
+        batch = EncodedDataset(
             np.zeros(1), np.array([[1, 0]], dtype=np.int64), np.array([[1.0, 0.5]])
         )
         e = embed(batch, p, config)
@@ -103,53 +143,60 @@ class TestEmbed:
 
     def test_out_of_range_index_rejected(self):
         p = init_params(CFG, CARDS, seed=0)
-        batch = Batch(np.zeros(1), np.array([[9, 0, 0]], dtype=np.int64), np.ones((1, 3)))
+        batch = EncodedDataset(
+            np.zeros(1), np.array([[9, 0, 0]], dtype=np.int64), np.ones((1, 3))
+        )
         with pytest.raises(IndexError):
             embed(batch, p, CFG)
 
 
 class TestTceForward:
+    """The contextual embeddings as predict's tape records them."""
+
     def test_zero_weights_give_zero_context(self):
         p = init_params(CFG, CARDS, seed=0)
-        p.agg_w[0][...] = 0.0
-        p.agg_b[0][...] = 0.0
-        p.proj_b[0][...] = 0.0
-        e_flat = Rng(1).normal((CFG.flat_dim,))
-        for fld in range(3):
-            assert not tce_forward(e_flat, 0, fld, p, CFG).any()
+        p["agg_w.0"][...] = 0.0
+        p["agg_b.0"][...] = 0.0
+        p["proj_b.0"][...] = 0.0
+        _, tape = predict(random_batch(Rng(1), 4, CARDS), p, CFG)
+        assert not tape.context[0].any()
 
     def test_identity_like_two_dim_composition(self):
         # one field, k = t = m = 2, identity weights: CE = relu(E)
         config = ModelConfig(n_fields=1, embed_dim=2, agg_width=2, n_blocks=1)
         p = init_params(config, [3], seed=0)
-        p.agg_w[0][...] = np.eye(2)
-        p.agg_b[0][...] = 0.0
-        p.proj_w[0][0][...] = np.eye(2)
-        p.proj_b[0][...] = 0.0
-        e_flat = np.array([1.0, -1.0])
-        assert tce_forward(e_flat, 0, 0, p, config).tolist() == [1.0, 0.0]
+        p["embed.0"][1] = [1.0, -1.0]
+        p["agg_w.0"][...] = np.eye(2)
+        p["agg_b.0"][...] = 0.0
+        p["proj_w.0"][0] = np.eye(2)
+        p["proj_b.0"][...] = 0.0
+        batch = EncodedDataset(np.zeros(1), np.array([[1]]), np.ones((1, 1)))
+        _, tape = predict(batch, p, config)
+        assert tape.context[0][0, 0].tolist() == [1.0, 0.0]
 
     def test_share_agg_blocks_share_preactivation(self):
-        config = config_with(CFG, sharing="agg")
-        p = init_params(config, CARDS, seed=2)
-        e_flat = Rng(3).normal((config.flat_dim,))
-        ce_block0 = tce_forward(e_flat, 0, 1, p, config)
-        # identical aggregation tensor: block 1 reuses slot 0
+        config = replace(CFG, sharing="agg")
+        p = randomized(init_params(config, CARDS, seed=2), 2)
+        # one aggregation tensor: block 1 reuses slot 0
         assert config.agg_slot(0) == config.agg_slot(1) == 0
-        assert p.agg_w[config.agg_slot(1)] is p.agg_w[0]
-        # projections remain per-block, so CE may differ
-        ce_block1 = tce_forward(e_flat, 1, 1, p, config)
-        assert ce_block0.shape == ce_block1.shape
+        assert "agg_w.1" not in p
+        # projections remain per-block, so CE differs
+        _, tape = predict(random_batch(Rng(3), 4, CARDS), p, config)
+        assert tape.context[0].shape == tape.context[1].shape
+        assert not np.allclose(tape.context[0], tape.context[1])
 
     def test_batched_matches_single(self):
-        p = init_params(CFG, CARDS, seed=4)
-        e = Rng(5).normal((6, CFG.flat_dim))
-        batched = tce_forward(e, 1, 2, p, CFG)
+        p = randomized(init_params(CFG, CARDS, seed=4), 4)
+        batch = random_batch(Rng(5), 6, CARDS)
+        _, tape = predict(batch, p, CFG)
         for i in range(6):
-            assert np.allclose(batched[i], tce_forward(e[i], 1, 2, p, CFG), atol=1e-15)
+            _, single = predict(batch.take([i]), p, CFG)
+            assert np.allclose(
+                tape.context[1][i, 2], single.context[1][0, 2], atol=1e-15
+            )
 
     def test_share_agg_identical_preactivation_across_blocks(self):
-        config = config_with(CFG, sharing="agg")
+        config = replace(CFG, sharing="agg")
         p = init_params(config, CARDS, seed=30)
         batch = random_batch(Rng(31), 5, CARDS)
         _, tape = predict(batch, p, config)
@@ -157,34 +204,38 @@ class TestTceForward:
 
 
 class TestBlockForward:
+    """One block's output, stages[1], against its input stages[0]."""
+
     def test_all_ones_context_is_hadamard_identity(self):
-        config = config_with(CFG, no_ffn=True)
-        p = init_params(config, CARDS, seed=0)
-        e_prev = Rng(6).normal((3, 4))
-        ce = np.ones((3, 4))
-        assert np.array_equal(block_forward(e_prev, ce, 0, p, config), e_prev)
+        config = replace(CFG, no_ffn=True)
+        p = randomized(init_params(config, CARDS, seed=0), 6)
+        force_ones_context(p)
+        _, tape = predict(random_batch(Rng(6), 3, CARDS), p, config)
+        assert np.array_equal(tape.context[0], np.ones((3, 3, 4)))
+        assert np.array_equal(tape.stages[1], tape.stages[0])
 
     def test_sffn_identity_weights_reduce_to_layer_norm(self):
         config = ModelConfig(
             n_fields=2, embed_dim=2, agg_width=2, n_blocks=1, variant="sffn"
         )
         p = init_params(config, [3, 3], seed=0)
-        p.ffn_w1[0][...] = np.eye(2)
+        force_ones_context(p)
+        p["ffn_w1.0"][...] = np.eye(2)
         e_prev = np.array([[0.3, -0.9], [2.0, 1.0]])
-        ce = np.ones((2, 2))
-        got = block_forward(e_prev, ce, 0, p, config)
+        p["embed.0"][1] = e_prev[0]
+        p["embed.1"][1] = e_prev[1]
+        batch = EncodedDataset(np.zeros(1), np.array([[1, 1]]), np.ones((1, 2)))
+        _, tape = predict(batch, p, config)
         want, _ = layer_norm(e_prev, np.ones(2), np.zeros(2), eps=1e-5)
-        assert np.allclose(got, want, atol=1e-15)
+        assert np.allclose(tape.stages[1][0], want, atol=1e-15)
 
     def test_pffn_residual_flag(self):
-        p = init_params(config_with(CFG, variant="pffn"), CARDS, seed=1)
-        e_prev = Rng(7).normal((3, 4))
-        ce = Rng(8).normal((3, 4))
-        with_rc = block_forward(e_prev, ce, 0, p, config_with(CFG, variant="pffn"))
-        without = block_forward(
-            e_prev, ce, 0, p, config_with(CFG, variant="pffn", no_rc=True)
-        )
-        assert not np.allclose(with_rc, without)
+        config = replace(CFG, variant="pffn")
+        p = randomized(init_params(config, CARDS, seed=1), 7)
+        batch = random_batch(Rng(8), 3, CARDS)
+        _, with_rc = predict(batch, p, config)
+        _, without = predict(batch, p, replace(config, no_rc=True))
+        assert not np.allclose(with_rc.stages[1], without.stages[1])
 
 
 class TestPredict:
@@ -199,15 +250,15 @@ class TestPredict:
         config = ModelConfig(n_fields=3, embed_dim=4, n_blocks=0)
         p = init_params(config, CARDS, seed=3)
         rng = Rng(4)
-        p.head_w[...] = rng.normal((12,))
-        p.head_b[0] = rng.normal()
+        p["head_w"][...] = rng.normal((12,))
+        p["head_b"][0] = rng.normal()
         batch = random_batch(rng, 1000, CARDS)
         scores, _ = predict(batch, p, config)
         for i in range(1000):
-            acc = p.head_b[0]
+            acc = p["head_b"][0]
             for fld in range(3):
-                e = p.embed[fld][batch.indices[i, fld]] * batch.values[i, fld]
-                acc += float(np.dot(p.head_w[fld * 4 : (fld + 1) * 4], e))
+                e = p[f"embed.{fld}"][batch.indices[i, fld]] * batch.values[i, fld]
+                acc += float(np.dot(p["head_w"][fld * 4 : (fld + 1) * 4], e))
             lr_score = 1.0 / (1.0 + np.exp(-acc))
             assert abs(scores[i] - lr_score) < 1e-12
 
@@ -217,20 +268,20 @@ class TestPredict:
             n_fields=2, embed_dim=2, agg_width=2, n_blocks=1, variant="sffn"
         )
         p = init_params(config, [2, 2], seed=0)
-        p.embed[0][...] = [[0.0, 0.0], [1.0, 2.0]]
-        p.embed[1][...] = [[0.0, 0.0], [-1.0, 0.5]]
-        p.agg_w[0][...] = [[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0]]
-        p.agg_b[0][...] = [0.1, -0.2]
-        p.proj_w[0][...] = [
+        p["embed.0"][...] = [[0.0, 0.0], [1.0, 2.0]]
+        p["embed.1"][...] = [[0.0, 0.0], [-1.0, 0.5]]
+        p["agg_w.0"][...] = [[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0]]
+        p["agg_b.0"][...] = [0.1, -0.2]
+        p["proj_w.0"][...] = [
             [[1.0, 0.0], [0.0, 1.0]],
             [[0.5, 0.5], [0.0, 1.0]],
         ]
-        p.proj_b[0][...] = [[0.0, 0.1], [0.2, 0.0]]
-        p.ffn_w1[0][...] = [[1.0, 1.0], [0.0, 1.0]]
-        p.head_w[...] = [0.4, -0.3, 0.2, 0.1]
-        p.head_b[0] = 0.05
+        p["proj_b.0"][...] = [[0.0, 0.1], [0.2, 0.0]]
+        p["ffn_w1.0"][...] = [[1.0, 1.0], [0.0, 1.0]]
+        p["head_w"][...] = [0.4, -0.3, 0.2, 0.1]
+        p["head_b"][0] = 0.05
 
-        batch = Batch(np.ones(1), np.array([[1, 1]]), np.ones((1, 2)))
+        batch = EncodedDataset(np.ones(1), np.array([[1, 1]]), np.ones((1, 2)))
         scores, _ = predict(batch, p, config)
 
         # embedding layer: E = [1, 2, -1, 0.5]
@@ -263,14 +314,15 @@ class TestPredict:
         assert np.array_equal(s1, s2)
 
     def test_tce_input_is_embedding_layer_object(self):
-        """Every block's TCE input is the same array object as the
-        embedding-layer output (never a refined block output)."""
-        p = init_params(CFG, CARDS, seed=7)
+        """Every block's TCE input is the embedding-layer output (never a
+        refined block output)."""
+        p = randomized(init_params(CFG, CARDS, seed=7), 7)
         batch = random_batch(Rng(8), 4, CARDS)
         _, tape = predict(batch, p, CFG)
-        assert len(tape.tce_inputs) == CFG.n_blocks
-        for entry in tape.tce_inputs:
-            assert entry is tape.embed_flat
+        e0_flat = tape.stages[0].reshape(4, CFG.flat_dim)
+        for block in range(CFG.n_blocks):
+            want = e0_flat @ p[f"agg_w.{block}"].T + p[f"agg_b.{block}"]
+            assert np.array_equal(tape.agg_pre[block], want)
 
 
 class TestHadamardIdentity:
@@ -280,22 +332,14 @@ class TestHadamardIdentity:
         )
         p = init_params(config, CARDS, seed=9)
         rng = Rng(10)
-        p.head_w[...] = rng.normal((12,))
-        p.head_b[0] = 0.3
-        # force CE = 1: zero aggregation, projection bias 1
-        for s in range(config.n_agg_slots):
-            p.agg_w[s][...] = 0.0
-            p.agg_b[s][...] = 0.0
-        for s in range(config.n_proj_slots):
-            p.proj_w[s][...] = 0.0
-            p.proj_b[s][...] = 1.0
+        p["head_w"][...] = rng.normal((12,))
+        p["head_b"][0] = 0.3
+        force_ones_context(p)
 
         l0_config = ModelConfig(n_fields=3, embed_dim=4, n_blocks=0)
         l0 = init_params(l0_config, CARDS, seed=9)
-        for i in range(3):
-            l0.embed[i][...] = p.embed[i]
-        l0.head_w[...] = p.head_w
-        l0.head_b[...] = p.head_b
+        for name in l0:
+            l0[name][...] = p[name]
 
         batch = random_batch(rng, 64, CARDS)
         deep, _ = predict(batch, p, config)
@@ -305,21 +349,21 @@ class TestHadamardIdentity:
 
 class TestSharingAliasing:
     def test_share_agg_perturbation_touches_all_blocks(self):
-        config = config_with(CFG, sharing="agg")
-        p = init_params(config, CARDS, seed=11)
-        e_flat = Rng(12).normal((config.flat_dim,))
-        before = [tce_forward(e_flat, blk, 0, p, config).copy() for blk in range(2)]
-        p.agg_w[0][0, 0] += 0.74
-        after = [tce_forward(e_flat, blk, 0, p, config) for blk in range(2)]
+        config = replace(CFG, sharing="agg")
+        p = randomized(init_params(config, CARDS, seed=11), 11)
+        batch = random_batch(Rng(12), 8, CARDS)
+        before = predict(batch, p, config)[1].context
+        p["agg_w.0"][0, 0] += 0.74
+        after = predict(batch, p, config)[1].context
         assert not np.allclose(before[0], after[0])
         assert not np.allclose(before[1], after[1])
 
     def test_share_nothing_perturbation_is_block_local(self):
-        p = init_params(CFG, CARDS, seed=13)
-        e_flat = Rng(14).normal((CFG.flat_dim,))
-        before = [tce_forward(e_flat, blk, 0, p, CFG).copy() for blk in range(2)]
-        p.agg_w[0][...] += 0.5  # block 0 only
-        after = [tce_forward(e_flat, blk, 0, p, CFG) for blk in range(2)]
+        p = randomized(init_params(CFG, CARDS, seed=13), 13)
+        batch = random_batch(Rng(14), 8, CARDS)
+        before = predict(batch, p, CFG)[1].context
+        p["agg_w.0"][...] += 0.5  # block 0 only
+        after = predict(batch, p, CFG)[1].context
         assert not np.allclose(before[0], after[0])
         assert np.array_equal(before[1], after[1])
 
@@ -339,34 +383,34 @@ class TestLossAndL2:
 
     def test_l2_zero_params(self):
         p = init_params(CFG, CARDS, seed=0)
-        for _, t in p.named_tensors():
+        for t in p.values():
             t[...] = 0.0
         assert l2_norm(p) == 0.0
 
     def test_l2_single_matrix_of_ones(self):
         config = ModelConfig(n_fields=1, embed_dim=2, n_blocks=0)
         p = init_params(config, [2], seed=0)
-        for _, t in p.named_tensors():
+        for t in p.values():
             t[...] = 0.0
-        p.embed[0][...] = 1.0  # 2x2 of ones
+        p["embed.0"][...] = 1.0  # 2x2 of ones
         assert l2_norm(p) == 4.0
 
     def test_l2_matches_flatten_oracle(self):
-        p = init_params(config_with(CFG, variant="pffn"), CARDS, seed=16)
+        p = init_params(replace(CFG, variant="pffn"), CARDS, seed=16)
         reg = {"embed", "agg_w", "proj_w", "ffn_w1", "ffn_w2", "head_w"}
         oracle = sum(
             float((arr.ravel() ** 2).sum())
-            for name, arr in p.named_tensors()
+            for name, arr in p.items()
             if name.split(".")[0] in reg
         )
         assert l2_norm(p) == pytest.approx(oracle, rel=1e-12)
 
     def test_biases_excluded_from_l2(self):
-        p = init_params(config_with(CFG, variant="pffn"), CARDS, seed=17)
+        p = init_params(replace(CFG, variant="pffn"), CARDS, seed=17)
         before = l2_norm(p)
-        p.agg_b[0][...] += 100.0
-        p.ln_gain[0][...] += 100.0
-        p.head_b[0] += 100.0
+        p["agg_b.0"][...] += 100.0
+        p["ln_gain.0"][...] += 100.0
+        p["head_b"][0] += 100.0
         assert l2_norm(p) == before
 
 
@@ -382,8 +426,8 @@ class TestParamCount:
         assert with_block - base == expected_tce + sffn_extra
 
     def test_share_agg_saves_expected(self):
-        nothing = param_count(config_with(CFG, sharing="none"), CARDS)
-        shared = param_count(config_with(CFG, sharing="agg"), CARDS)
+        nothing = param_count(replace(CFG, sharing="none"), CARDS)
+        shared = param_count(replace(CFG, sharing="agg"), CARDS)
         t, m, L = 5, 12, 2
         assert nothing - shared == (L - 1) * (t * m + t)
 
@@ -394,41 +438,86 @@ class TestParamCount:
     @pytest.mark.parametrize("variant", ["pffn", "sffn"])
     @pytest.mark.parametrize("sharing", ["none", "agg", "agg-proj"])
     def test_count_matches_allocation(self, variant, sharing):
-        config = config_with(CFG, variant=variant, sharing=sharing)
+        config = replace(CFG, variant=variant, sharing=sharing)
         p = init_params(config, CARDS, seed=0)
-        assert p.size() == param_count(config, CARDS)
+        assert sum(t.size for t in p.values()) == param_count(config, CARDS)
 
     @pytest.mark.parametrize(
         "ablation", [{}, {"no_tce": True}, {"no_ffn": True}, {"no_ln": True}]
     )
     def test_count_matches_allocation_under_ablations(self, ablation):
-        config = config_with(CFG, variant="pffn", **ablation)
+        config = replace(CFG, variant="pffn", **ablation)
         p = init_params(config, CARDS, seed=0)
-        assert p.size() == param_count(config, CARDS)
+        assert sum(t.size for t in p.values()) == param_count(config, CARDS)
+
+
+def read_raw(path):
+    """A checkpoint file as (header, [[name, shape, bytes], ...])."""
+    blob = open(path, "rb").read()
+    n = struct.unpack("<I", blob[12:16])[0]
+    header = json.loads(blob[16 : 16 + n])
+    tensors, pos = [], 16 + n
+    for name, shape in header["tensors"]:
+        size = 8 * int(np.prod(shape))
+        tensors.append([name, shape, blob[pos : pos + size]])
+        pos += size
+    return header, tensors
+
+
+def write_raw(path, header, tensors):
+    header["tensors"] = [[name, shape] for name, shape, _ in tensors]
+    head = json.dumps(header, sort_keys=True).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(ckpt_module.MAGIC + struct.pack("<II", ckpt_module.VERSION, len(head)))
+        fh.write(head + b"".join(blob for _, _, blob in tensors))
 
 
 class TestCheckpoint:
+    def saved(self, tmp_path, config=CFG, seed=20):
+        path = str(tmp_path / "model.bin")
+        save_checkpoint(path, init_params(config, CARDS, seed), config, CARDS, FIELDS, seed)
+        return path
+
     def test_roundtrip(self, tmp_path):
-        config = config_with(CFG, variant="pffn", sharing="agg")
+        config = replace(CFG, variant="pffn", sharing="agg")
         p = init_params(config, CARDS, seed=20)
         path = str(tmp_path / "model.bin")
-        save_checkpoint(path, p, config, CARDS, [("a", "cat"), ("b", "cat"), ("c", "cat")], seed=20)
+        save_checkpoint(path, p, config, CARDS, FIELDS, seed=20)
         loaded, loaded_config, header = load_checkpoint(path)
         assert loaded_config == config
         assert header["cardinalities"] == CARDS
-        for (na, ta), (nb, tb) in zip(p.named_tensors(), loaded.named_tensors()):
+        for (na, ta), (nb, tb) in zip(p.items(), loaded.items()):
             assert na == nb
             assert np.array_equal(ta, tb)
+
+    def test_header_tensor_order_is_pinned(self, tmp_path):
+        config = replace(CFG, variant="pffn", sharing="agg")
+        path = self.saved(tmp_path, config)
+        want = [
+            "embed.0", "embed.1", "embed.2", "agg_w.0", "agg_b.0",
+            "proj_w.0", "proj_w.1", "proj_b.0", "proj_b.1",
+            "ffn_w1.0", "ffn_w1.1", "ffn_b1.0", "ffn_b1.1",
+            "ffn_w2.0", "ffn_w2.1", "ffn_b2.0", "ffn_b2.1",
+            "ln_gain.0", "ln_gain.1", "ln_bias.0", "ln_bias.1", "head_w", "head_b",
+        ]
+        header, _ = read_raw(path)
+        assert [name for name, _ in header["tensors"]] == want
+        assert list(load_checkpoint(path)[0]) == want
 
     def test_loaded_model_predicts_identically(self, tmp_path):
         p = init_params(CFG, CARDS, seed=21)
         rng = Rng(22)
-        p.head_w[...] = rng.normal((CFG.flat_dim,))
+        p["head_w"][...] = rng.normal((CFG.flat_dim,))
         path = str(tmp_path / "model.bin")
-        save_checkpoint(path, p, CFG, CARDS, [("a", "cat"), ("b", "cat"), ("c", "cat")], seed=21)
+        save_checkpoint(path, p, CFG, CARDS, FIELDS, seed=21)
         loaded, config, _ = load_checkpoint(path)
         batch = random_batch(rng, 16, CARDS)
         assert np.array_equal(predict(batch, p, CFG)[0], predict(batch, loaded, config)[0])
+
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        path = self.saved(tmp_path)
+        monkeypatch.setattr("contextnet.model.Rng", None)  # a draw would fail
+        assert list(load_checkpoint(path)[0])[-1] == "head_b"
 
     def test_corrupt_magic_rejected(self, tmp_path):
         path = tmp_path / "model.bin"
@@ -439,16 +528,56 @@ class TestCheckpoint:
     def test_truncated_file_rejected(self, tmp_path):
         p = init_params(CFG, CARDS, seed=23)
         path = str(tmp_path / "model.bin")
-        save_checkpoint(path, p, CFG, CARDS, [("a", "cat"), ("b", "cat"), ("c", "cat")], seed=23)
+        save_checkpoint(path, p, CFG, CARDS, FIELDS, seed=23)
         blob = open(path, "rb").read()
         open(path, "wb").write(blob[:-16])
         with pytest.raises(CheckpointError, match="truncated|trailing"):
             load_checkpoint(path)
 
+    def test_shorter_than_preamble_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+        blob = open(path, "rb").read()
+        open(path, "wb").write(blob[:12])
+        with pytest.raises(CheckpointError, match="preamble"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value", [("variant", "bogus"), ("embed_dim", 4.0)])
+    def test_invalid_header_config_rejected(self, tmp_path, key, value):
+        path = self.saved(tmp_path)
+        header, tensors = read_raw(path)
+        header["config"][key] = value
+        write_raw(path, header, tensors)
+        with pytest.raises(CheckpointError, match=str(value)):
+            load_checkpoint(path)
+
+    def test_header_missing_tensor_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+        header, tensors = read_raw(path)
+        write_raw(path, header, [t for t in tensors if t[0] != "proj_b.0"])
+        with pytest.raises(CheckpointError, match="missing \\['proj_b.0'\\]"):
+            load_checkpoint(path)
+
+    def test_header_unknown_tensor_rejected(self, tmp_path):
+        path = self.saved(tmp_path)  # sffn: no ffn biases
+        header, tensors = read_raw(path)
+        tensors.append(["ffn_b1.0", [4], b"\x00" * 32])
+        write_raw(path, header, tensors)
+        with pytest.raises(CheckpointError, match="unknown \\['ffn_b1.0'\\]"):
+            load_checkpoint(path)
+
+    def test_header_wrong_shape_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+        header, tensors = read_raw(path)
+        name, shape, blob = tensors[0]  # embed.0, [5, 4]
+        tensors[0] = [name, [6, 4], blob + b"\x00" * 32]
+        write_raw(path, header, tensors)
+        with pytest.raises(CheckpointError, match="wrong shape \\['embed.0'\\]"):
+            load_checkpoint(path)
+
     def test_manifest_written(self, tmp_path):
         p = init_params(CFG, CARDS, seed=24)
         path = str(tmp_path / "model.bin")
-        save_checkpoint(path, p, CFG, CARDS, [("a", "cat"), ("b", "cat"), ("c", "cat")], seed=24)
+        save_checkpoint(path, p, CFG, CARDS, FIELDS, seed=24)
         manifest = open(path + ".manifest").read()
         assert "created" in manifest
         assert "head_w" in manifest

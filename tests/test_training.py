@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from contextnet.data import EncodedDataset
+from contextnet.data import DataError, EncodedDataset
 from contextnet.metrics import logloss
 from contextnet.model import ModelConfig, init_params, predict_scores
 from contextnet.ops import Rng
@@ -19,6 +19,10 @@ CARDS = [6, 5]
 CFG = ModelConfig(n_fields=2, embed_dim=3, agg_width=4, n_blocks=1)
 
 
+def zeros_like(params):
+    return {name: np.zeros_like(t) for name, t in params.items()}
+
+
 def scalarish_params():
     """A one-parameter model stand-in: reuse head bias as the scalar."""
     config = ModelConfig(n_fields=1, embed_dim=1, n_blocks=0)
@@ -28,22 +32,22 @@ def scalarish_params():
 class TestAdam:
     def test_zero_grad_leaves_params_unchanged(self):
         params = init_params(CFG, CARDS, seed=1)
-        grads = params.zeros_like()
+        grads = zeros_like(params)
         state = init_adam(params, lr=0.1)
-        before = [t.copy() for _, t in params.named_tensors()]
+        before = [t.copy() for t in params.values()]
         adam_step(params, grads, state)
-        for (_, after), prev in zip(params.named_tensors(), before):
+        for after, prev in zip(params.values(), before):
             assert np.array_equal(after, prev)
         assert state.step == 1
 
     def test_single_step_with_unit_gradient(self):
         """Bias-corrected first step moves by -lr/(1+eps), i.e. almost -lr."""
         params = scalarish_params()
-        grads = params.zeros_like()
-        grads.head_b[0] = 1.0
+        grads = zeros_like(params)
+        grads["head_b"][0] = 1.0
         state = init_adam(params, lr=1e-3)
         adam_step(params, grads, state)
-        assert params.head_b[0] == pytest.approx(-1e-3 / (1.0 + 1e-8), rel=1e-12)
+        assert params["head_b"][0] == pytest.approx(-1e-3 / (1.0 + 1e-8), rel=1e-12)
 
     def test_two_runs_bit_identical(self):
         def run():
@@ -51,23 +55,23 @@ class TestAdam:
             state = init_adam(params, lr=0.01)
             rng = Rng(3)
             for _ in range(5):
-                grads = params.zeros_like()
-                for _, g in grads.named_tensors():
+                grads = zeros_like(params)
+                for g in grads.values():
                     g[...] = rng.normal(g.shape)
                 adam_step(params, grads, state)
-            return np.concatenate([t.ravel() for _, t in params.named_tensors()])
+            return np.concatenate([t.ravel() for t in params.values()])
 
         assert np.array_equal(run(), run())
 
     def test_lr_zero_freezes_params_but_moves_moments(self):
         params = init_params(CFG, CARDS, seed=4)
-        before = [t.copy() for _, t in params.named_tensors()]
-        grads = params.zeros_like()
-        for _, g in grads.named_tensors():
+        before = [t.copy() for t in params.values()]
+        grads = zeros_like(params)
+        for g in grads.values():
             g[...] = 1.0
         state = init_adam(params, lr=0.0)
         adam_step(params, grads, state)
-        for (_, after), prev in zip(params.named_tensors(), before):
+        for after, prev in zip(params.values(), before):
             assert np.array_equal(after, prev)
         assert all(m.max() > 0 for m in state.m)
         assert all(v.max() > 0 for v in state.v)
@@ -79,7 +83,7 @@ class TestAdam:
         from contextnet.ops import ShapeError
 
         with pytest.raises(ShapeError):
-            adam_step(params, other.zeros_like(), state)
+            adam_step(params, zeros_like(other), state)
 
 
 def _linearly_separable(n=400, seed=0):
@@ -115,8 +119,10 @@ class TestTrainLoop:
     def test_patience_zero_stops_at_first_non_improvement(self):
         ds = _linearly_separable(200, seed=8)
         params = init_params(CFG, CARDS, seed=8)
-        # lr 0: val AUC constant, first evaluation sets best, second stops
-        tconf = TrainConfig(batch_size=64, lr=0.0, max_epochs=10, patience=0, seed=8)
+        # lr 1e-300 moves the zero head by ~1e-300 only, so every score
+        # stays 0.5 and val AUC constant: first evaluation sets best,
+        # second stops
+        tconf = TrainConfig(batch_size=64, lr=1e-300, max_epochs=10, patience=0, seed=8)
         _, history = train(CFG, params, ds, ds, tconf)
         assert len(history.epochs) == 2
 
@@ -142,12 +148,21 @@ class TestTrainLoop:
     def test_divergence_reported_with_location(self):
         ds = _linearly_separable(100, seed=11)
         params = init_params(CFG, CARDS, seed=11)
-        params.head_w[...] = np.nan  # poisoned state -> non-finite loss
+        params["head_w"][...] = np.nan  # poisoned state -> non-finite loss
         tconf = TrainConfig(batch_size=32, lr=1e-3, max_epochs=2, patience=2, seed=11)
         with pytest.raises(TrainingDiverged) as err:
             train(CFG, params, ds, ds, tconf)
         assert err.value.epoch == 0
         assert err.value.batch_index == 0
+
+    def test_single_class_validation_rejected_before_first_epoch(self):
+        ds = _linearly_separable(100, seed=14)
+        negatives = ds.take(np.flatnonzero(ds.labels == 0.0))
+        params = init_params(CFG, CARDS, seed=14)
+        params["head_w"][...] = np.nan  # a first epoch would diverge
+        tconf = TrainConfig(batch_size=32, lr=1e-3, max_epochs=2, seed=14)
+        with pytest.raises(DataError, match="one class"):
+            train(CFG, params, ds, negatives, tconf)
 
     def test_eval_cadence_skips_epochs(self):
         ds = _linearly_separable(200, seed=12)
