@@ -1,0 +1,133 @@
+#!/usr/bin/env python3
+"""Same-seed digests: the sha256 of what four fixed training recipes write.
+
+A change meant to leave behaviour alone should print the same lines before
+and after it. Run from the root of a source checkout:
+
+    python3 scripts/same_seed_digests.py [--work DIR]
+
+Recipes (all through the command line, each from its own seed):
+  a  acceptance criterion 11: `synth` 3000 rows of 4 fields of 12 tokens,
+     `train --seed 29 --embed-dim 6 --agg-width 8 --blocks 2 --epochs 3
+     --patience 3 --batch-size 256 --lr 0.001`
+  b  a with `--variant pffn --sharing agg --blocks 3`; the stdout of
+     `evaluate --split all`, `explain --corpus norm --top 0` and
+     `explain --instance 7` over its outputs is digested too
+  c  a with `--sharing agg-proj --ablate ln --l2 1e-4`
+  d  the benchmark's `wide` input of seed 1, trained with the `wide-sffn`
+     flags of perfbench/run.py
+
+Each line is `recipe<TAB>output<TAB>sha256`. history.tsv is digested
+without its last column, the wall-clock seconds of each epoch.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+# one BLAS thread, as in the test suite and the benchmark
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
+
+from contextnet.cli import main as cli  # noqa: E402
+from perfbench import gen  # noqa: E402
+
+SYNTH = [
+    "--fields", "4", "--cardinalities", "12", "--rows", "3000",
+    "--scale", "0.6", "--latent-dim", "2", "--seed", "3",
+]
+RECIPE_A = [
+    "--seed", "29", "--embed-dim", "6", "--agg-width", "8", "--blocks", "2",
+    "--epochs", "3", "--patience", "3", "--batch-size", "256", "--lr", "0.001",
+]
+RECIPES = {
+    "a": RECIPE_A,
+    "b": [*RECIPE_A, "--variant", "pffn", "--sharing", "agg", "--blocks", "3"],
+    "c": [*RECIPE_A, "--sharing", "agg-proj", "--ablate", "ln", "--l2", "1e-4"],
+    "d": [
+        "--variant", "sffn", "--embed-dim", "10", "--agg-width", "20", "--blocks", "3",
+        "--batch-size", "1024", "--epochs", "1", "--patience", "1", "--lr", "0.003",
+        "--seed", "1",
+    ],
+}
+# commands run over recipe b's outputs, digested by their stdout
+REPORTS = {
+    "evaluate --split all": ["evaluate", "--split", "all"],
+    "explain --corpus norm --top 0": ["explain", "--corpus", "norm", "--top", "0"],
+    "explain --instance 7": ["explain", "--instance", "7"],
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(argv: list[str]) -> str:
+    """Run one command in this process; its stdout, or SystemExit on failure."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli(argv)
+    if code != 0:
+        raise SystemExit(f"contextnet {' '.join(argv)} exited {code}")
+    return out.getvalue()
+
+
+def output_digests(out: str) -> list[tuple[str, str]]:
+    def read(name: str) -> bytes:
+        with open(os.path.join(out, name), "rb") as fh:
+            return fh.read()
+
+    history = b"".join(
+        line.rsplit(b"\t", 1)[0] + b"\n" for line in read("history.tsv").splitlines()
+    )
+    return [
+        ("checkpoint.bin", sha256(read("checkpoint.bin"))),
+        ("vocab.txt", sha256(read("vocab.txt"))),
+        ("metrics.txt", sha256(read("metrics.txt"))),
+        ("history.tsv without seconds", sha256(history)),
+    ]
+
+
+def digests(work: str):
+    """Yield (recipe, output, sha256) for every recipe."""
+    synth = os.path.join(work, "synth")
+    run(["synth", "--out", synth, *SYNTH])
+    wide = os.path.join(work, "wide")
+    gen.write("wide", 1, wide)
+    inputs = {name: synth for name in "abc"} | {"d": wide}
+    for name, flags in RECIPES.items():
+        data = ["--data", os.path.join(inputs[name], "data.tsv"),
+                "--schema", os.path.join(inputs[name], "schema.tsv")]
+        out = os.path.join(work, name)
+        run(["train", *data, "--out", out, *flags])
+        for output, digest in output_digests(out):
+            yield name, output, digest
+        if name == "b":
+            model = ["--checkpoint", os.path.join(out, "checkpoint.bin"),
+                     "--vocab", os.path.join(out, "vocab.txt"), *data]
+            for label, command in REPORTS.items():
+                stdout = run([*command, *model])
+                yield name, f"stdout of {label}", sha256(stdout.encode())
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--work", help="directory for inputs and outputs (default: a temporary one)")
+    args = ap.parse_args(argv)
+    with contextlib.ExitStack() as stack:
+        work = args.work or stack.enter_context(tempfile.TemporaryDirectory())
+        for row in digests(work):
+            print("\t".join(row), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

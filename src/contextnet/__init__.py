@@ -5,12 +5,11 @@ from contextnet.model import ModelConfig, init_params, predict, loss_and_grads, 
 from contextnet.data import (
     FieldSchema,
     Vocabulary,
-    EncodedInstance,
     EncodedDataset,
+    load_records,
+    split_indices,
     build_vocabulary,
-    encode_instance,
     encode_dataset,
-    split_dataset,
     batch_iter,
 )
 from contextnet.metrics import auc, logloss, rela_imp
@@ -28,12 +27,11 @@ __all__ = [
     "param_count",
     "FieldSchema",
     "Vocabulary",
-    "EncodedInstance",
     "EncodedDataset",
+    "load_records",
+    "split_indices",
     "build_vocabulary",
-    "encode_instance",
     "encode_dataset",
-    "split_dataset",
     "batch_iter",
     "auc",
     "logloss",

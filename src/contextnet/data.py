@@ -2,12 +2,16 @@
 
 Input data is header-less tab-separated text: column 0 is the binary label,
 the remaining columns follow the schema file order. An empty string means a
-missing value. Vocabularies are built from the training split only.
+missing value. A file is read and encoded column by column, once; splits are
+index arrays into it. Vocabularies are built from the training rows only.
+Errors name a record by its 0-based row in the file.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -98,67 +102,64 @@ class Vocabulary:
 
 
 def build_vocabulary(
-    train_records, schema: list[FieldSchema], min_count: int = 1
+    columns, schema: list[FieldSchema], rows, min_count: int = 1
 ) -> Vocabulary:
-    """Count tokens over the training records and assign contiguous indices.
+    """Count tokens over the training rows and assign contiguous indices.
 
-    Tokens seen at least min_count times get indices 1..n in first-seen
-    order; everything else maps to the reserved OOV index 0. Numerical
-    fields get population mean/std over their non-missing values (Welford).
+    `columns` is a file as load_records returns it, `rows` the training rows
+    in split order. Tokens seen at least min_count times get indices 1..n in
+    first-seen order; everything else maps to the reserved OOV index 0.
+    Numerical fields get population mean/std over their non-missing values
+    (Welford, in row order).
     """
-    counts: dict[str, dict[str, int]] = {
-        f.name: {} for f in schema if f.kind == CATEGORICAL
-    }
-    welford: dict[str, list[float]] = {
-        f.name: [0, 0.0, 0.0] for f in schema if f.kind == NUMERICAL
-    }
-    n_records = 0
-    for row, record in enumerate(train_records):
-        n_records += 1
-        for f in schema:
-            if f.position >= len(record):
-                raise DataError(f"record {row}: missing column for field {f.name!r}")
-            raw = record[f.position]
-            if raw == "":
-                continue
-            if f.kind == CATEGORICAL:
-                c = counts[f.name]
-                c[raw] = c.get(raw, 0) + 1
-            else:
-                try:
-                    x = float(raw)
-                except ValueError:
-                    raise DataError(
-                        f"record {row}, field {f.name!r}: non-numeric value {raw!r}"
-                    ) from None
-                acc = welford[f.name]
-                acc[0] += 1
-                delta = x - acc[1]
-                acc[1] += delta / acc[0]
-                acc[2] += delta * (x - acc[1])
-    if n_records == 0:
+    rows = np.asarray(rows).tolist()
+    if not rows:
         raise DataError("empty training set")
-
     vocab = Vocabulary()
     for f in schema:
+        column = columns[f.position]
+        cells = [column[r] for r in rows]
         if f.kind == CATEGORICAL:
-            mapping = {}
-            for token, cnt in counts[f.name].items():
-                if cnt >= min_count:
-                    mapping[token] = len(mapping) + 1
-            vocab.tokens[f.name] = mapping
-        else:
-            n, mean, m2 = welford[f.name]
-            std = math.sqrt(m2 / n) if n > 0 else 0.0
-            vocab.numeric_stats[f.name] = (mean if n > 0 else 0.0, std)
+            counts = Counter(cells)
+            counts.pop("", None)
+            kept = [token for token, cnt in counts.items() if cnt >= min_count]
+            vocab.tokens[f.name] = {token: i for i, token in enumerate(kept, start=1)}
+            continue
+        x, present = _numbers(cells, rows, f.name)
+        n, mean, m2 = 0, 0.0, 0.0
+        for v in x[present].tolist():
+            n += 1
+            delta = v - mean
+            mean += delta / n
+            m2 += delta * (v - mean)
+        vocab.numeric_stats[f.name] = (mean, math.sqrt(m2 / n) if n > 0 else 0.0)
     return vocab
 
 
-@dataclass
-class EncodedInstance:
-    label: int
-    indices: np.ndarray  # [f] int64
-    values: np.ndarray  # [f] float64
+def _to_float(cell: str) -> float:
+    """float(cell); 0.0 for a missing cell, NaN for text that is not a number."""
+    try:
+        return float(cell) if cell else 0.0
+    except ValueError:
+        return math.nan
+
+
+def _numbers(cells, rows, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Parse a numerical field: float() of each cell (0.0 where missing) and
+    the mask of non-missing cells.
+
+    A cell that is not a number, or not a finite one, raises DataError naming
+    its file row (rows[j] for cells[j]) and the field.
+    """
+    n = len(cells)
+    x = np.fromiter(map(_to_float, cells), dtype=np.float64, count=n)
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        j = bad[0]
+        raise DataError(
+            f"record {rows[j]}, field {name!r}: {cells[j]!r} is not a finite number"
+        )
+    return x, np.fromiter(map(bool, cells), dtype=bool, count=n)
 
 
 @dataclass
@@ -173,9 +174,6 @@ class EncodedDataset:
     def __len__(self) -> int:
         return self.labels.shape[0]
 
-    def instance(self, i: int) -> EncodedInstance:
-        return EncodedInstance(int(self.labels[i]), self.indices[i], self.values[i])
-
     def take(self, idx) -> "EncodedDataset":
         return EncodedDataset(self.labels[idx], self.indices[idx], self.values[idx])
 
@@ -185,56 +183,42 @@ class EncodedDataset:
             raise DataError(f"{what} holds only one class, so AUC is undefined")
 
 
-def encode_instance(
-    record: list[str], schema: list[FieldSchema], vocab: Vocabulary
-) -> EncodedInstance:
-    """Map one raw record to (index, value) pairs in schema order.
-
-    Categorical: (vocab index, 1.0), OOV/missing -> index 0. Numerical:
-    (index 0, standardized value), missing -> value 0.0.
-    """
-    raw_label = record[0]
-    if raw_label not in ("0", "1"):
-        raise DataError(f"malformed label {raw_label!r}: expected 0 or 1")
-    f = len(schema)
-    indices = np.zeros(f, dtype=np.int64)
-    values = np.zeros(f, dtype=np.float64)
-    for i, fs in enumerate(schema):
-        if fs.position >= len(record):
-            raise DataError(f"record too short for field {fs.name!r}")
-        raw = record[fs.position]
-        if fs.kind == CATEGORICAL:
-            indices[i] = OOV_INDEX if raw == "" else vocab.index_of(fs.name, raw)
-            values[i] = 1.0
-        else:
-            if raw == "":
-                values[i] = 0.0
-            else:
-                try:
-                    x = float(raw)
-                except ValueError:
-                    raise DataError(
-                        f"field {fs.name!r}: non-numeric value {raw!r}"
-                    ) from None
-                mean, std = vocab.numeric_stats[fs.name]
-                values[i] = (x - mean) / max(std, 1e-12)
-    return EncodedInstance(int(raw_label), indices, values)
+_LABELS = {"0": 0.0, "1": 1.0}
 
 
 def encode_dataset(
-    records, schema: list[FieldSchema], vocab: Vocabulary
+    columns, schema: list[FieldSchema], vocab: Vocabulary
 ) -> EncodedDataset:
-    instances = []
-    for row, record in enumerate(records):
-        try:
-            instances.append(encode_instance(record, schema, vocab))
-        except DataError as exc:
-            raise DataError(f"record {row}: {exc}") from None
-    if not instances:
+    """Map every row of a file (as load_records returns it) to (index,
+    value) pairs in schema order, one field at a time.
+
+    Categorical: (vocab index, 1.0), OOV/missing -> index 0. Numerical:
+    (index 0, standardized value), missing -> value 0.0. Errors name the
+    record's file row.
+    """
+    n = len(columns[0])
+    if n == 0:
         raise DataError("no records to encode")
-    labels = np.array([inst.label for inst in instances], dtype=np.float64)
-    indices = np.stack([inst.indices for inst in instances])
-    values = np.stack([inst.values for inst in instances])
+    try:
+        labels = np.fromiter(map(_LABELS.__getitem__, columns[0]), np.float64, n)
+    except KeyError as exc:
+        row = columns[0].index(exc.args[0])
+        raise DataError(
+            f"record {row}: malformed label {exc.args[0]!r}: expected 0 or 1"
+        ) from None
+    indices = np.zeros((n, len(schema)), dtype=np.int64)
+    values = np.ones((n, len(schema)), dtype=np.float64)
+    for i, f in enumerate(schema):
+        cells = columns[f.position]
+        if f.kind == CATEGORICAL:
+            lookup = {**vocab.tokens[f.name], "": OOV_INDEX}
+            indices[:, i] = np.fromiter(
+                map(lookup.get, cells, repeat(OOV_INDEX)), np.int64, n
+            )
+        else:
+            x, present = _numbers(cells, range(n), f.name)
+            mean, std = vocab.numeric_stats[f.name]
+            values[:, i] = np.where(present, (x - mean) / max(std, 1e-12), 0.0)
     return EncodedDataset(labels, indices, values)
 
 
@@ -253,16 +237,6 @@ def split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     )
 
 
-def split_dataset(records: list, seed: int) -> tuple[list, list, list]:
-    """Shuffle records by seed and split 8:1:1 (remainder to train)."""
-    tr, va, te = split_indices(len(records), seed)
-    return (
-        [records[i] for i in tr],
-        [records[i] for i in va],
-        [records[i] for i in te],
-    )
-
-
 def batch_iter(dataset: EncodedDataset, batch_size: int, seed: int, epoch: int = 0):
     """Yield shuffled mini-batches covering the dataset exactly once.
 
@@ -278,7 +252,11 @@ def batch_iter(dataset: EncodedDataset, batch_size: int, seed: int, epoch: int =
 
 
 def load_records(path: str, schema: list[FieldSchema]) -> list[list[str]]:
-    """Read a tab-separated data file, checking the column count per row."""
+    """Read a tab-separated data file, checking the column count per row.
+
+    Returns the file column by column: len(schema) + 1 lists of strings,
+    column 0 holding the labels.
+    """
     want = len(schema) + 1
     records = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -294,7 +272,7 @@ def load_records(path: str, schema: list[FieldSchema]) -> list[list[str]]:
             records.append(cols)
     if not records:
         raise DataError(f"{path}: no records")
-    return records
+    return [[cols[i] for cols in records] for i in range(want)]
 
 
 _VOCAB_MAGIC = "#contextnet-vocab"
@@ -338,6 +316,11 @@ def load_vocabulary(path: str) -> Vocabulary:
                     vocab.numeric_stats[parts[0]] = (float(parts[1]), float(parts[2]))
             except ValueError:
                 raise DataError(f"{path}:{lineno}: malformed number") from None
+    for fname, mapping in vocab.tokens.items():
+        if sorted(mapping.values()) != list(range(1, len(mapping) + 1)):
+            raise DataError(
+                f"{path}: field {fname!r}: token indices are not 1..{len(mapping)}"
+            )
     return vocab
 
 

@@ -12,14 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from contextnet.data import (
-    EncodedDataset,
-    EncodedInstance,
-    FieldSchema,
-    NUMERICAL,
-    Vocabulary,
-)
-from contextnet.model import ModelConfig, Params, instance_batch, predict
+from contextnet.data import EncodedDataset, FieldSchema, NUMERICAL, Vocabulary
+from contextnet.model import ModelConfig, Params, predict
 
 IMPORTANCE_SUM = "sum"
 IMPORTANCE_NORM = "norm"
@@ -51,12 +45,12 @@ def _field_weights(final: np.ndarray, params: Params, config: ModelConfig):
 def instance_feature_weights(
     params: Params,
     config: ModelConfig,
-    instance: EncodedInstance,
+    instance: EncodedDataset,
     field_names: list[str] | None = None,
 ) -> FeatureWeightReport:
-    """Per-field contributions for one instance; they sum (with the
+    """Per-field contributions for a one-row dataset; they sum (with the
     intercept) to the prediction logit."""
-    scores, tape = predict(instance_batch(instance), params, config)
+    scores, tape = predict(instance, params, config)
     fw = _field_weights(tape.stages[-1], params, config)[0]
     names = field_names or [f"field_{i}" for i in range(config.n_fields)]
     return FeatureWeightReport(
@@ -124,14 +118,15 @@ def corpus_feature_importance(
 
 
 def block_dot_products(
-    params: Params, config: ModelConfig, instance: EncodedInstance
+    params: Params, config: ModelConfig, instance: EncodedDataset
 ) -> list[np.ndarray]:
-    """Pairwise dot products between field embeddings at every stage.
+    """Pairwise dot products between field embeddings at every stage, for a
+    one-row dataset.
 
     Returns n_blocks + 1 symmetric [f, f] matrices; level 0 is the embedding
     layer and level l the l-th block's output.
     """
-    _, tape = predict(instance_batch(instance), params, config)
+    _, tape = predict(instance, params, config)
     matrices = []
     for stage in tape.stages:
         e = stage[0]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from contextnet.data import EncodedDataset, EncodedInstance
+from contextnet.data import EncodedDataset
 from contextnet.ops import (
     Rng,
     ShapeError,
@@ -420,11 +420,3 @@ def param_count(config: ModelConfig, cardinalities: list[int]) -> int:
         total += config.n_blocks * 2 * k
     return total
 
-
-def instance_batch(instance: EncodedInstance) -> EncodedDataset:
-    """Wrap one encoded instance as a one-row dataset."""
-    return EncodedDataset(
-        np.array([float(instance.label)]),
-        instance.indices[None, :],
-        instance.values[None, :],
-    )

@@ -17,13 +17,11 @@ import pytest
 from contextnet.cli import main as cli_main
 from contextnet.data import (
     EncodedDataset,
-    EncodedInstance,
     build_vocabulary,
     cardinalities as vocab_cardinalities,
     encode_dataset,
     load_records,
     load_schema,
-    split_dataset,
     split_indices,
 )
 from contextnet.interpret import instance_feature_weights
@@ -304,13 +302,12 @@ def test_criterion_07_synthetic_oracle_learning(tmp_path):
     bayes = float(read_info(os.path.join(out, "info.txt"))["bayes_auc"])
 
     schema = load_schema(os.path.join(out, "schema.tsv"))
-    records = load_records(os.path.join(out, "data.tsv"), schema)
-    train_recs, val_recs, test_recs = split_dataset(records, seed=11)
-    vocab = build_vocabulary(train_recs, schema)
+    columns = load_records(os.path.join(out, "data.tsv"), schema)
+    tr, va, te = split_indices(len(columns[0]), seed=11)
+    vocab = build_vocabulary(columns, schema, tr)
     cards = vocab_cardinalities(schema, vocab)
-    train_set = encode_dataset(train_recs, schema, vocab)
-    val_set = encode_dataset(val_recs, schema, vocab)
-    test_set = encode_dataset(test_recs, schema, vocab)
+    dataset = encode_dataset(columns, schema, vocab)
+    train_set, val_set, test_set = dataset.take(tr), dataset.take(va), dataset.take(te)
     pos_rate = float(train_set.labels.mean())
     tconf = TrainConfig(batch_size=1024, lr=1e-3, max_epochs=40, patience=3, seed=11)
 
@@ -455,10 +452,10 @@ def test_criterion_10_interpretability_identity():
 
     worst = 0.0
     for _ in range(1000):
-        inst = EncodedInstance(
-            1,
-            np.array([rng.integers(0, c) for c in cards], dtype=np.int64),
-            np.ones(4),
+        inst = EncodedDataset(
+            np.ones(1),
+            np.array([[rng.integers(0, c) for c in cards]], dtype=np.int64),
+            np.ones((1, 4)),
         )
         report = instance_feature_weights(trained, config, inst)
         total = report.weights.sum() + report.intercept

@@ -54,6 +54,43 @@ def run_dir(tmp_path_factory, synth_dir):
     return out
 
 
+@pytest.fixture(scope="module")
+def numeric_dir(tmp_path_factory):
+    """200 rows of one categorical and one numerical field, and a model
+    trained on them in run/."""
+    d = tmp_path_factory.mktemp("numeric")
+    (d / "schema.tsv").write_text("c\tcat\nx\tnum\n")
+    (d / "data.tsv").write_text(
+        "".join(f"{i % 2}\tt{i % 5}\t{(i * 7) % 11}.5\n" for i in range(200))
+    )
+    code = main(
+        [
+            "train",
+            "--data", str(d / "data.tsv"),
+            "--schema", str(d / "schema.tsv"),
+            "--out", str(d / "run"),
+            "--seed", "3",
+            "--embed-dim", "2",
+            "--agg-width", "2",
+            "--blocks", "1",
+            "--epochs", "1",
+            "--batch-size", "64",
+        ]
+    )
+    assert code == 0
+    return d
+
+
+def with_cell(src, dst, row, column, raw):
+    """Copy a data file, replacing one cell."""
+    lines = src.read_text().splitlines()
+    cells = lines[row].split("\t")
+    cells[column] = raw
+    lines[row] = "\t".join(cells)
+    dst.write_text("\n".join(lines) + "\n")
+    return str(dst)
+
+
 def read_metrics(path):
     out = {}
     for line in open(path):
@@ -173,6 +210,26 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert f"the {split} split holds only one class" in err and err.count("\n") == 1
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("raw", ["nan", "oops"])
+    def test_bad_number_exits_3_naming_file_row(self, numeric_dir, tmp_path, capsys, raw):
+        # a training row that sits elsewhere in the shuffled split order
+        train_rows = split_indices(200, seed=3)[0].tolist()
+        k = next(r for pos, r in enumerate(train_rows) if pos != r)
+        data = with_cell(numeric_dir / "data.tsv", tmp_path / "data.tsv", k, 2, raw)
+        code = main(
+            [
+                "train",
+                "--data", data,
+                "--schema", str(numeric_dir / "schema.tsv"),
+                "--out", str(tmp_path / "x"),
+                "--seed", "3",
+                "--epochs", "1",
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"record {k}, field 'x': '{raw}'" in err and err.count("\n") == 1
 
     def test_unknown_ablation_rejected(self, synth_dir, tmp_path):
         code = main(
@@ -308,6 +365,42 @@ class TestEvaluateCommand:
         assert code == 3
         err = capsys.readouterr().err
         assert "only one class" in err and err.count("\n") == 1
+
+    def test_non_finite_number_exits_3(self, numeric_dir, tmp_path, capsys):
+        data = with_cell(numeric_dir / "data.tsv", tmp_path / "data.tsv", 150, 2, "inf")
+        run = numeric_dir / "run"
+        code = main(
+            [
+                "evaluate",
+                "--checkpoint", str(run / "checkpoint.bin"),
+                "--vocab", str(run / "vocab.txt"),
+                "--schema", str(numeric_dir / "schema.tsv"),
+                "--data", data,
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "record 150, field 'x': 'inf'" in err and err.count("\n") == 1
+
+    def test_vocabulary_index_out_of_range_exits_3(self, synth_dir, run_dir, tmp_path, capsys):
+        lines = open(os.path.join(run_dir, "vocab.txt")).read().splitlines()
+        i = lines.index("#tokens") + 1
+        field, token, _ = lines[i].split("\t")
+        lines[i] = f"{field}\t{token}\t99"
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("\n".join(lines) + "\n")
+        code = main(
+            [
+                "evaluate",
+                "--checkpoint", os.path.join(run_dir, "checkpoint.bin"),
+                "--vocab", str(vocab),
+                "--schema", os.path.join(synth_dir, "schema.tsv"),
+                "--data", os.path.join(synth_dir, "data.tsv"),
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"field {field!r}: token indices" in err and err.count("\n") == 1
 
     def test_schema_mismatch_exits_3_naming_issue(self, synth_dir, run_dir, tmp_path, capsys):
         wrong = tmp_path / "schema.tsv"

@@ -1,5 +1,7 @@
 """Feature pipeline tests: vocabularies, encoding, splits, batching, files."""
 import math
+import struct
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -7,21 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contextnet.data import (
+    CATEGORICAL,
     DataError,
+    OOV_INDEX,
     batch_iter,
     build_vocabulary,
     cardinalities,
     encode_dataset,
-    encode_instance,
     load_records,
     load_schema,
     load_vocabulary,
     make_schema,
     save_schema,
     save_vocabulary,
-    split_dataset,
     split_indices,
     EncodedDataset,
+    Vocabulary,
 )
 
 
@@ -32,6 +35,91 @@ def schema():
 
 def rec(label, color, size, shape):
     return [label, color, size, shape]
+
+
+def table(records):
+    """Records (rows of strings) as the columns load_records returns."""
+    return list(zip(*records))
+
+
+def vocab_of(records, schema, min_count=1):
+    """The vocabulary of every record, in file order."""
+    return build_vocabulary(table(records), schema, range(len(records)), min_count)
+
+
+Row = namedtuple("Row", "label indices values")
+
+
+def encode_one(record, schema, vocab):
+    """The one row encode_dataset makes of a one-record file."""
+    ds = encode_dataset(table([record]), schema, vocab)
+    return Row(int(ds.labels[0]), ds.indices[0], ds.values[0])
+
+
+def split_lists(n, seed):
+    return tuple(part.tolist() for part in split_indices(n, seed))
+
+
+# ---------------------------------------------------------------- reference
+# The record-at-a-time encoder the column-wise one replaced. It reads the
+# records of the training split in split order, field after field within a
+# record, and encodes one record into two small arrays at a time.
+
+
+def reference_vocabulary(train_records, schema, min_count=1):
+    counts = {f.name: {} for f in schema if f.kind == CATEGORICAL}
+    welford = {f.name: [0, 0.0, 0.0] for f in schema if f.kind != CATEGORICAL}
+    for record in train_records:
+        for f in schema:
+            raw = record[f.position]
+            if raw == "":
+                continue
+            if f.kind == CATEGORICAL:
+                c = counts[f.name]
+                c[raw] = c.get(raw, 0) + 1
+            else:
+                x = float(raw)
+                acc = welford[f.name]
+                acc[0] += 1
+                delta = x - acc[1]
+                acc[1] += delta / acc[0]
+                acc[2] += delta * (x - acc[1])
+    vocab = Vocabulary()
+    for f in schema:
+        if f.kind == CATEGORICAL:
+            mapping = {}
+            for token, cnt in counts[f.name].items():
+                if cnt >= min_count:
+                    mapping[token] = len(mapping) + 1
+            vocab.tokens[f.name] = mapping
+        else:
+            n, mean, m2 = welford[f.name]
+            std = math.sqrt(m2 / n) if n > 0 else 0.0
+            vocab.numeric_stats[f.name] = (mean if n > 0 else 0.0, std)
+    return vocab
+
+
+def reference_encode(record, schema, vocab):
+    indices = np.zeros(len(schema), dtype=np.int64)
+    values = np.zeros(len(schema), dtype=np.float64)
+    for i, fs in enumerate(schema):
+        raw = record[fs.position]
+        if fs.kind == CATEGORICAL:
+            indices[i] = OOV_INDEX if raw == "" else vocab.index_of(fs.name, raw)
+            values[i] = 1.0
+        elif raw != "":
+            mean, std = vocab.numeric_stats[fs.name]
+            values[i] = (float(raw) - mean) / max(std, 1e-12)
+    return Row(int(record[0]), indices, values)
+
+
+def reference_encode_dataset(records, schema, vocab):
+    rows = [reference_encode(record, schema, vocab) for record in records]
+    return EncodedDataset(
+        np.array([r.label for r in rows], dtype=np.float64),
+        np.stack([r.indices for r in rows]),
+        np.stack([r.values for r in rows]),
+    )
 
 
 class TestSchema:
@@ -55,67 +143,80 @@ class TestSchema:
 class TestBuildVocabulary:
     def test_min_count_threshold(self, schema):
         records = [rec("1", "a", "1", "x")] * 3 + [rec("0", "b", "2", "x")]
-        vocab = build_vocabulary(records, schema, min_count=2)
+        vocab = vocab_of(records, schema, min_count=2)
         assert vocab.index_of("color", "a") == 1
         assert vocab.index_of("color", "b") == 0  # below threshold -> OOV
 
     def test_all_distinct_cardinality(self, schema):
         records = [rec("0", f"c{i}", "0", f"s{i}") for i in range(5)]
-        vocab = build_vocabulary(records, schema, min_count=1)
+        vocab = vocab_of(records, schema, min_count=1)
         assert vocab.cardinality(schema[0]) == 6  # 5 tokens + OOV slot
 
     def test_numeric_stats_population(self, schema):
         records = [rec("0", "a", v, "x") for v in ("1", "2", "3")]
-        vocab = build_vocabulary(records, schema)
+        vocab = vocab_of(records, schema)
         mean, std = vocab.numeric_stats["size"]
         assert mean == pytest.approx(2.0)
         assert std == pytest.approx(math.sqrt(2.0 / 3.0))
 
     def test_missing_numeric_skipped_in_stats(self, schema):
         records = [rec("0", "a", "", "x"), rec("0", "a", "4", "x")]
-        vocab = build_vocabulary(records, schema)
+        vocab = vocab_of(records, schema)
         assert vocab.numeric_stats["size"] == (4.0, 0.0)
 
     def test_empty_training_set_rejected(self, schema):
         with pytest.raises(DataError, match="empty"):
-            build_vocabulary([], schema)
+            build_vocabulary(table([rec("0", "a", "1", "x")]), schema, [])
 
     def test_non_numeric_token_names_row_and_field(self, schema):
         records = [rec("0", "a", "1", "x"), rec("0", "a", "oops", "x")]
         with pytest.raises(DataError, match=r"record 1.*size.*oops"):
-            build_vocabulary(records, schema)
+            vocab_of(records, schema)
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-Infinity"])
+    def test_non_finite_number_names_row_and_field(self, schema, raw):
+        records = [rec("0", "a", "1", "x"), rec("0", "a", raw, "x")]
+        with pytest.raises(DataError, match=rf"record 1.*size.*{raw}"):
+            vocab_of(records, schema)
+
+    def test_error_names_file_row_not_split_position(self, schema):
+        records = [rec("0", "a", str(i), "x") for i in range(20)]
+        records[13][2] = "oops"
+        rows = list(range(19, -1, -1))  # file row 13 is 7th in split order
+        with pytest.raises(DataError, match=r"record 13, field 'size'"):
+            build_vocabulary(table(records), schema, rows)
 
 
 class TestEncodeInstance:
     @pytest.fixture
     def vocab(self, schema):
         records = [rec("1", "red", "1", "sq"), rec("0", "blue", "3", "sq")]
-        return build_vocabulary(records, schema)
+        return vocab_of(records, schema)
 
     def test_unseen_token_maps_to_oov(self, schema, vocab):
-        inst = encode_instance(rec("0", "green", "2", "sq"), schema, vocab)
+        inst = encode_one(rec("0", "green", "2", "sq"), schema, vocab)
         assert inst.indices[0] == 0
         assert inst.values[0] == 1.0
 
     def test_value_at_train_mean_standardizes_to_zero(self, schema, vocab):
-        inst = encode_instance(rec("1", "red", "2", "sq"), schema, vocab)
+        inst = encode_one(rec("1", "red", "2", "sq"), schema, vocab)
         assert inst.values[1] == pytest.approx(0.0)
 
     def test_hand_encoded_triple(self, schema, vocab):
         # mean 2, population std 1; "red" was seen first -> index 1
-        inst = encode_instance(rec("1", "red", "3", "sq"), schema, vocab)
+        inst = encode_one(rec("1", "red", "3", "sq"), schema, vocab)
         assert inst.label == 1
         assert inst.indices.tolist() == [1, 0, 1]
         assert inst.values.tolist() == [1.0, 1.0, 1.0]
 
     def test_missing_values(self, schema, vocab):
-        inst = encode_instance(rec("0", "", "", "sq"), schema, vocab)
+        inst = encode_one(rec("0", "", "", "sq"), schema, vocab)
         assert inst.indices[0] == 0 and inst.values[0] == 1.0  # missing cat -> OOV
         assert inst.indices[1] == 0 and inst.values[1] == 0.0  # missing num -> 0
 
     def test_malformed_label_rejected(self, schema, vocab):
         with pytest.raises(DataError, match="label"):
-            encode_instance(rec("2", "red", "1", "sq"), schema, vocab)
+            encode_one(rec("2", "red", "1", "sq"), schema, vocab)
 
     def test_decode_roundtrip_for_in_vocab_tokens(self, schema, vocab):
         for token in ("red", "blue"):
@@ -125,27 +226,27 @@ class TestEncodeInstance:
 
 class TestSplits:
     def test_ten_records_split_8_1_1(self):
-        train, val, test = split_dataset(list(range(10)), seed=0)
+        train, val, test = split_lists(10, seed=0)
         assert (len(train), len(val), len(test)) == (8, 1, 1)
 
     def test_same_seed_identical_partitions(self):
-        a = split_dataset(list(range(100)), seed=5)
-        b = split_dataset(list(range(100)), seed=5)
+        a = split_lists(100, seed=5)
+        b = split_lists(100, seed=5)
         assert a == b
 
     def test_remainder_goes_to_train(self):
-        train, val, test = split_dataset(list(range(103)), seed=1)
+        train, val, test = split_lists(103, seed=1)
         assert (len(train), len(val), len(test)) == (83, 10, 10)
 
     def test_too_few_records_rejected(self):
         with pytest.raises(DataError):
-            split_dataset(list(range(9)), seed=0)
+            split_indices(9, seed=0)
 
     @given(n=st.integers(10, 400), seed=st.integers(0, 2**32))
     @settings(max_examples=50, deadline=None)
     def test_partitions_disjoint_and_exhaustive(self, n, seed):
-        records = list(range(n))
-        train, val, test = split_dataset(records, seed)
+        records = list(range(n))  # each record is its own file row
+        train, val, test = split_lists(n, seed)
         assert sorted(train + val + test) == records
         assert not (set(train) & set(val))
         assert not (set(train) & set(test))
@@ -154,12 +255,12 @@ class TestSplits:
 
     def test_vocab_from_train_only_oov_for_unseen(self, schema):
         records = [rec("0", f"c{i}", str(i), "s") for i in range(20)]
-        train, val, test = split_dataset(records, seed=3)
-        vocab = build_vocabulary(train, schema)
-        train_tokens = {r[1] for r in train}
+        train, val, test = split_lists(20, seed=3)
+        vocab = build_vocabulary(table(records), schema, train)
+        train_tokens = {records[r][1] for r in train}
         for r in val + test:
-            if r[1] not in train_tokens:
-                assert vocab.index_of("color", r[1]) == 0
+            if records[r][1] not in train_tokens:
+                assert vocab.index_of("color", records[r][1]) == 0
 
 
 def _toy_dataset(n, f=2, seed=0):
@@ -202,7 +303,7 @@ class TestBatchIter:
 class TestFiles:
     def test_vocabulary_roundtrip(self, schema, tmp_path):
         records = [rec("1", "red", "1.5", "sq"), rec("0", "blue", "3.5", "tri")]
-        vocab = build_vocabulary(records, schema)
+        vocab = vocab_of(records, schema)
         path = str(tmp_path / "vocab.txt")
         save_vocabulary(vocab, path)
         loaded = load_vocabulary(path)
@@ -227,6 +328,21 @@ class TestFiles:
         with pytest.raises(DataError, match="vocab.txt:3"):
             load_vocabulary(str(path))
 
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            ["color\tred\t1", "color\tblue\t99"],  # index past the field's size
+            ["color\tred\t1", "color\tblue\t1"],  # index given twice
+            ["color\tred\t0", "color\tblue\t1"],  # the OOV index
+            ["color\tred\t1", "color\tred\t2"],  # token given twice
+        ],
+    )
+    def test_vocabulary_indices_must_run_one_to_n(self, tmp_path, lines):
+        path = tmp_path / "vocab.txt"
+        path.write_text("#contextnet-vocab\t1\n#tokens\n" + "\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="field 'color': token indices are not 1.."):
+            load_vocabulary(str(path))
+
     def test_load_records_checks_columns(self, schema, tmp_path):
         path = tmp_path / "data.tsv"
         path.write_text("1\tred\t0.5\tsq\n0\tblue\t1.0\n")
@@ -236,12 +352,12 @@ class TestFiles:
     def test_load_records_keeps_empty_strings(self, schema, tmp_path):
         path = tmp_path / "data.tsv"
         path.write_text("1\t\t\tsq\n")
-        records = load_records(str(path), schema)
-        assert records == [["1", "", "", "sq"]]
+        columns = load_records(str(path), schema)
+        assert columns == [["1"], [""], [""], ["sq"]]
 
     def test_cardinalities_requires_matching_vocab(self, schema):
         records = [rec("1", "red", "1", "sq")]
-        vocab = build_vocabulary(records, schema)
+        vocab = vocab_of(records, schema)
         cards = cardinalities(schema, vocab)
         assert cards == [2, 1, 2]
         del vocab.tokens["color"]
@@ -252,10 +368,76 @@ class TestFiles:
 class TestEncodeDataset:
     def test_shapes_and_order(self, schema):
         records = [rec("1", "red", "1", "sq"), rec("0", "blue", "2", "tri")]
-        vocab = build_vocabulary(records, schema)
-        ds = encode_dataset(records, schema, vocab)
+        vocab = vocab_of(records, schema)
+        ds = encode_dataset(table(records), schema, vocab)
         assert len(ds) == 2
         assert ds.labels.tolist() == [1.0, 0.0]
         assert ds.indices.shape == (2, 3)
-        inst = ds.instance(1)
-        assert inst.label == 0
+        inst = ds.take(slice(1, 2))
+        assert inst.labels[0] == 0
+
+    @pytest.mark.parametrize(
+        "column, raw, what",
+        [(0, "2", "malformed label"), (2, "oops", "size"), (2, "inf", "size")],
+    )
+    def test_error_names_file_row(self, schema, column, raw, what):
+        records = [rec(str(i % 2), "red", str(i), "sq") for i in range(10)]
+        vocab = vocab_of(records, schema)
+        records[7][column] = raw
+        with pytest.raises(DataError, match=rf"record 7\b.*{what}"):
+            encode_dataset(table(records), schema, vocab)
+
+
+_KINDS = st.lists(st.sampled_from(["cat", "num"]), min_size=1, max_size=5)
+_CAT_CELLS = st.sampled_from(["", "a", "b", "c", "d", "e", "f"])
+_NUM_CELLS = st.one_of(
+    st.just(""),
+    st.integers(-1000, 1000).map(str),
+    st.floats(-1e9, 1e9, allow_nan=False).map(repr),
+)
+
+
+@st.composite
+def tables(draw):
+    """A schema, its records, training rows in split order and a min_count."""
+    kinds = draw(_KINDS)
+    schema = make_schema([(f"f{i}", kind) for i, kind in enumerate(kinds)])
+    n = draw(st.integers(1, 40))
+    records = [
+        [draw(st.sampled_from(["0", "1"]))]
+        + [draw(_CAT_CELLS if kind == "cat" else _NUM_CELLS) for kind in kinds]
+        for _ in range(n)
+    ]
+    order = draw(st.permutations(range(n)))
+    rows = order[: draw(st.integers(1, n))]
+    return schema, records, rows, draw(st.integers(1, 3))
+
+
+def _float_bits(x):
+    return struct.pack("<d", x)
+
+
+class TestAgainstReference:
+    @given(tables())
+    @settings(max_examples=200, deadline=None)
+    def test_column_wise_equals_record_wise_byte_for_byte(self, case):
+        schema, records, rows, min_count = case
+        vocab = build_vocabulary(table(records), schema, rows, min_count)
+        want = reference_vocabulary([records[r] for r in rows], schema, min_count)
+        assert [list(m.items()) for m in vocab.tokens.values()] == [
+            list(m.items()) for m in want.tokens.values()
+        ]
+        assert list(vocab.tokens) == list(want.tokens)
+        assert list(vocab.numeric_stats) == list(want.numeric_stats)
+        for name, stats in want.numeric_stats.items():
+            assert list(map(_float_bits, vocab.numeric_stats[name])) == list(
+                map(_float_bits, stats)
+            )
+
+        got = encode_dataset(table(records), schema, vocab)
+        ref = reference_encode_dataset(records, schema, vocab)
+        for a, b in zip(
+            (got.labels, got.indices, got.values), (ref.labels, ref.indices, ref.values)
+        ):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()

@@ -2,19 +2,13 @@
 import numpy as np
 import pytest
 
-from contextnet.data import (
-    EncodedDataset,
-    EncodedInstance,
-    build_vocabulary,
-    encode_dataset,
-    make_schema,
-)
+from contextnet.data import EncodedDataset
 from contextnet.interpret import (
     block_dot_products,
     corpus_feature_importance,
     instance_feature_weights,
 )
-from contextnet.model import ModelConfig, init_params, instance_batch, predict
+from contextnet.model import ModelConfig, init_params, predict
 from contextnet.ops import Rng, logit
 
 CARDS = [6, 5, 4]
@@ -22,8 +16,8 @@ CFG = ModelConfig(n_fields=3, embed_dim=4, agg_width=5, n_blocks=2)
 
 
 def random_instance(rng, cards):
-    idx = np.array([rng.integers(0, c) for c in cards], dtype=np.int64)
-    return EncodedInstance(1, idx, np.ones(len(cards)))
+    idx = np.array([[rng.integers(0, c) for c in cards]], dtype=np.int64)
+    return EncodedDataset(np.ones(1), idx, np.ones((1, len(cards))))
 
 
 def trained_like_params(seed=0):
@@ -57,7 +51,7 @@ class TestInstanceWeights:
         params = trained_like_params(5)
         inst = random_instance(Rng(6), CARDS)
         report = instance_feature_weights(params, CFG, inst)
-        scores, _ = predict(instance_batch(inst), params, CFG)
+        scores, _ = predict(inst, params, CFG)
         assert report.score == scores[0]
 
     def test_field_names_carried(self):
@@ -78,7 +72,7 @@ class TestCorpusImportance:
         params = trained_like_params(9)
         ds = two_instance_corpus().take(np.array([0]))
         rows = corpus_feature_importance(params, CFG, ds, mode="sum")
-        report = instance_feature_weights(params, CFG, ds.instance(0))
+        report = instance_feature_weights(params, CFG, ds.take(slice(0, 1)))
         by_field = {r.field: r.score for r in rows}
         for i in range(3):
             assert by_field[f"field_{i}"] == pytest.approx(
@@ -88,8 +82,8 @@ class TestCorpusImportance:
     def test_two_instance_norm_mode_hand_arithmetic(self):
         params = trained_like_params(10)
         ds = two_instance_corpus()
-        r0 = instance_feature_weights(params, CFG, ds.instance(0))
-        r1 = instance_feature_weights(params, CFG, ds.instance(1))
+        r0 = instance_feature_weights(params, CFG, ds.take(slice(0, 1)))
+        r1 = instance_feature_weights(params, CFG, ds.take(slice(1, 2)))
         rows = corpus_feature_importance(params, CFG, ds, mode="norm", alpha=10.0)
         scores = {(r.field, r.token): r.score for r in rows}
         # field_0 token #1 appears in both instances: (|w0| + |w1|) / (2 + 10)
@@ -155,7 +149,7 @@ class TestBlockDotProducts:
     def test_diagonal_is_squared_norm(self):
         params = trained_like_params(19)
         inst = random_instance(Rng(20), CARDS)
-        _, tape = predict(instance_batch(inst), params, CFG)
+        _, tape = predict(inst, params, CFG)
         mats = block_dot_products(params, CFG, inst)
         embed_vectors = tape.stages[0][0]
         for i in range(3):
@@ -166,7 +160,7 @@ class TestBlockDotProducts:
     def test_fresh_small_init_has_near_zero_off_diagonals(self):
         config = ModelConfig(n_fields=4, embed_dim=10, agg_width=5, n_blocks=1)
         params = init_params(config, [9, 9, 9, 9], seed=21)
-        inst = EncodedInstance(0, np.array([1, 2, 3, 4]), np.ones(4))
+        inst = EncodedDataset(np.zeros(1), np.array([[1, 2, 3, 4]]), np.ones((1, 4)))
         level0 = block_dot_products(params, config, inst)[0]
         off = level0[~np.eye(4, dtype=bool)]
         assert np.abs(off).max() < 0.01
