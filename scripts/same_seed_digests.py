@@ -6,6 +6,11 @@ and after it. Run from the root of a source checkout:
 
     python3 scripts/same_seed_digests.py [--work DIR]
 
+The lines are compared with scripts/same_seed_digests.txt: the script exits
+0 when they are equal, and otherwise prints a diff of the lines that differ
+on standard error and exits 1. After a deliberate change of outputs, save
+the new standard output to another file and move it over that one.
+
 Recipes (all through the command line, each from its own seed):
   a  acceptance criterion 11: `synth` 3000 rows of 4 fields of 12 tokens,
      `train --seed 29 --embed-dim 6 --agg-width 8 --blocks 2 --epochs 3
@@ -15,7 +20,9 @@ Recipes (all through the command line, each from its own seed):
      `explain --instance 7` over its outputs is digested too
   c  a with `--sharing agg-proj --ablate ln --l2 1e-4`
   d  the benchmark's `wide` input of seed 1, trained with the `wide-sffn`
-     flags of perfbench/run.py
+     flags of perfbench/run.py; the stdout of `evaluate --split all` and
+     `explain --corpus norm --top 0` over its 16,000 rows is digested too
+     (two scoring chunks and four corpus chunks)
 
 Each line is `recipe<TAB>output<TAB>sha256`. history.tsv is digested
 without its last column, the wall-clock seconds of each epoch.
@@ -24,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import os
@@ -58,12 +66,14 @@ RECIPES = {
         "--seed", "1",
     ],
 }
-# commands run over recipe b's outputs, digested by their stdout
+EVALUATE = ["evaluate", "--split", "all"]
+CORPUS = ["explain", "--corpus", "norm", "--top", "0"]
+# commands run over a recipe's outputs, digested by their stdout
 REPORTS = {
-    "evaluate --split all": ["evaluate", "--split", "all"],
-    "explain --corpus norm --top 0": ["explain", "--corpus", "norm", "--top", "0"],
-    "explain --instance 7": ["explain", "--instance", "7"],
+    "b": [EVALUATE, CORPUS, ["explain", "--instance", "7"]],
+    "d": [EVALUATE, CORPUS],
 }
+EXPECTED = os.path.join(ROOT, "scripts", "same_seed_digests.txt")
 
 
 def sha256(data: bytes) -> str:
@@ -110,23 +120,32 @@ def digests(work: str):
         run(["train", *data, "--out", out, *flags])
         for output, digest in output_digests(out):
             yield name, output, digest
-        if name == "b":
-            model = ["--checkpoint", os.path.join(out, "checkpoint.bin"),
-                     "--vocab", os.path.join(out, "vocab.txt"), *data]
-            for label, command in REPORTS.items():
-                stdout = run([*command, *model])
-                yield name, f"stdout of {label}", sha256(stdout.encode())
+        model = ["--checkpoint", os.path.join(out, "checkpoint.bin"),
+                 "--vocab", os.path.join(out, "vocab.txt"), *data]
+        for command in REPORTS.get(name, []):
+            stdout = run([*command, *model])
+            yield name, f"stdout of {' '.join(command)}", sha256(stdout.encode())
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--work", help="directory for inputs and outputs (default: a temporary one)")
     args = ap.parse_args(argv)
+    with open(EXPECTED, encoding="utf-8") as fh:
+        expected = fh.read().splitlines()
+    got = []
     with contextlib.ExitStack() as stack:
         work = args.work or stack.enter_context(tempfile.TemporaryDirectory())
         for row in digests(work):
-            print("\t".join(row), flush=True)
-    return 0
+            got.append("\t".join(row))
+            print(got[-1], flush=True)
+    if got == expected:
+        return 0
+    for line in difflib.unified_diff(
+        expected, got, os.path.relpath(EXPECTED, ROOT), "this run", lineterm=""
+    ):
+        print(line, file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -62,8 +62,8 @@ def save_checkpoint(
 
 def load_checkpoint(path: str) -> tuple[Params, ModelConfig, dict]:
     """Read a checkpoint whose header must list exactly the tensors its
-    config and cardinalities call for; any malformed file raises
-    CheckpointError."""
+    config and cardinalities call for and whose values are all finite; any
+    malformed file raises CheckpointError."""
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -105,6 +105,8 @@ def load_checkpoint(path: str) -> tuple[Params, ModelConfig, dict]:
             if len(blob) != 8 * n_items:
                 raise CheckpointError(f"{path}: truncated tensor {name}")
             params[name] = np.frombuffer(blob, "<f8").astype(np.float64).reshape(shape)
+            if not np.isfinite(params[name]).all():
+                raise CheckpointError(f"{path}: tensor {name} holds a non-finite value")
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes after tensors")
     return params, config, header

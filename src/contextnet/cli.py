@@ -19,7 +19,7 @@ from contextnet import data as dt
 from contextnet import interpret as itp
 from contextnet import synth as sy
 from contextnet.metrics import auc, logloss, rela_imp
-from contextnet.model import ModelConfig, init_params, predict_scores
+from contextnet.model import ModelConfig, NonFiniteScore, init_params, predict_scores
 from contextnet.training import TrainConfig, TrainingDiverged, train
 
 EXIT_OK = 0
@@ -411,7 +411,7 @@ def main(argv=None) -> int:
     except (dt.DataError, ckpt.CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except TrainingDiverged as exc:
+    except (TrainingDiverged, NonFiniteScore) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -312,10 +312,16 @@ def load_vocabulary(path: str) -> Vocabulary:
             try:
                 if section == "#tokens":
                     vocab.tokens.setdefault(parts[0], {})[parts[1]] = int(parts[2])
-                else:
-                    vocab.numeric_stats[parts[0]] = (float(parts[1]), float(parts[2]))
+                    continue
+                mean, std = float(parts[1]), float(parts[2])
             except ValueError:
                 raise DataError(f"{path}:{lineno}: malformed number") from None
+            if not (np.isfinite(mean) and 0.0 <= std < np.inf):
+                raise DataError(
+                    f"{path}:{lineno}: field {parts[0]!r}: mean {mean} and std {std} "
+                    "must be finite, and std >= 0"
+                )
+            vocab.numeric_stats[parts[0]] = (mean, std)
     for fname, mapping in vocab.tokens.items():
         if sorted(mapping.values()) != list(range(1, len(mapping) + 1)):
             raise DataError(

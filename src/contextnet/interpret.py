@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from contextnet.data import EncodedDataset, FieldSchema, NUMERICAL, Vocabulary
-from contextnet.model import ModelConfig, Params, predict
+from contextnet.model import ModelConfig, Params, predict, require_finite
 
 IMPORTANCE_SUM = "sum"
 IMPORTANCE_NORM = "norm"
@@ -80,6 +80,8 @@ def corpus_feature_importance(
     damping rare features. Numerical fields aggregate under one per-field
     key. Rows are sorted by descending score; feature values absent from
     the dataset (score 0, n 0) are listed only when include_absent is set.
+    Chunks are scored without a tape; a non-finite logit raises
+    NonFiniteScore.
     """
     if mode not in (IMPORTANCE_SUM, IMPORTANCE_NORM):
         raise ValueError(f"unknown importance mode {mode!r}")
@@ -89,7 +91,8 @@ def corpus_feature_importance(
     counts = [np.zeros(c, dtype=np.int64) for c in cards]
     for start in range(0, len(dataset), chunk):
         batch = dataset.take(slice(start, start + chunk))
-        _, tape = predict(batch, params, config)
+        _, tape = predict(batch, params, config, keep_tape=False)
+        require_finite(tape, start)
         fw_abs = np.abs(_field_weights(tape.stages[-1], params, config))
         for i in range(n_fields):
             np.add.at(sums[i], batch.indices[:, i], fw_abs[:, i])

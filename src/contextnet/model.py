@@ -1,8 +1,9 @@
 """Model: embeddings, contextual embedding (TCE), refinement blocks, head.
 
 Parameters are one ordered mapping from tensor name to array; param_shapes
-gives the names and their order. The forward pass keeps every intermediate
-needed by the hand-written backward pass in a TapeCache. Parameter sharing
+gives the names and their order. Only training keeps a tape: its forward
+pass keeps every intermediate needed by the hand-written backward pass in a
+TapeCache, while scoring keeps just the last stage. Parameter sharing
 across blocks is realized by storing shared tensors once and resolving
 block -> storage slot, so gradients of shared tensors accumulate additively.
 
@@ -203,9 +204,14 @@ def init_params(
     return {name: params[name] for name in shapes}
 
 
+class NonFiniteScore(ArithmeticError):
+    """A scored row's logit is NaN or infinite."""
+
+
 @dataclass
 class TapeCache:
-    """Forward intermediates consumed by the backward pass (one per batch)."""
+    """Forward intermediates consumed by the backward pass (one per batch);
+    a pass without a tape keeps only the last stage, logits and scores."""
 
     batch: EncodedDataset
     stages: list  # [e0 .. eL]: embedding layer, then block outputs, [B, f, k]
@@ -237,14 +243,16 @@ def embed(batch: EncodedDataset, params: Params, config: ModelConfig) -> np.ndar
 
 
 def predict(
-    batch: EncodedDataset, params: Params, config: ModelConfig
+    batch: EncodedDataset, params: Params, config: ModelConfig, keep_tape: bool = True
 ) -> tuple[np.ndarray, TapeCache]:
     """Full forward pass; returns scores in (0, 1) and the tape for backward.
 
     Each block merges its input with a contextual embedding (Hadamard
     product), then applies the variant's feed-forward map and layer norm.
     Every block's context is aggregated from the embedding layer, never
-    from a refined block output.
+    from a refined block output. With keep_tape off, intermediates are
+    released once the next exists and the merge overwrites the context;
+    the arithmetic, and so every output bit, stays the same.
     """
     B = len(batch)
     f, k, t = config.n_fields, config.embed_dim, config.agg_width
@@ -253,7 +261,8 @@ def predict(
     tape = TapeCache(batch, [e0])
     e_cur = e0
     for block in range(config.n_blocks):
-        agg_pre = agg_act = ce = pre = hidden = ln_cache = None
+        # views (flat, out) pin their base arrays, so they are reset too
+        agg_pre = agg_act = ce = pre = hidden = ln_cache = flat = out = None
         merged = e_cur
         if config.has_tce:
             sa = config.agg_slot(block)
@@ -261,8 +270,9 @@ def predict(
             agg_pre = e0_flat @ params[f"agg_w.{sa}"].T + params[f"agg_b.{sa}"]
             agg_act = relu(agg_pre)
             proj = params[f"proj_w.{sp}"].reshape(f * k, t)
-            ce = (agg_act @ proj.T).reshape(-1, f, k) + params[f"proj_b.{sp}"]
-            merged = e_cur * ce
+            ce = (agg_act @ proj.T).reshape(-1, f, k)
+            ce += params[f"proj_b.{sp}"]
+            merged = np.multiply(e_cur, ce, out=None if keep_tape else ce)
         e_next = merged
         if config.has_ffn:
             flat = merged.reshape(-1, k)
@@ -280,32 +290,51 @@ def predict(
                 out = (flat @ w1).reshape(merged.shape)
             e_next = out
             if config.has_ln:
+                if not keep_tape:  # nothing reads these again
+                    e_cur = ce = merged = flat = pre = hidden = None
                 e_next, ln_cache = layer_norm(
                     out, params[f"ln_gain.{block}"], params[f"ln_bias.{block}"], LN_EPS
                 )
-        tape.agg_pre.append(agg_pre)
-        tape.agg_act.append(agg_act)
-        tape.context.append(ce)
-        tape.merged.append(merged)
-        tape.ffn_pre.append(pre)
-        tape.ffn_hidden.append(hidden)
-        tape.ln.append(ln_cache)
-        tape.stages.append(e_next)
+        if keep_tape:
+            tape.agg_pre.append(agg_pre)
+            tape.agg_act.append(agg_act)
+            tape.context.append(ce)
+            tape.merged.append(merged)
+            tape.ffn_pre.append(pre)
+            tape.ffn_hidden.append(hidden)
+            tape.ln.append(ln_cache)
+            tape.stages.append(e_next)
         e_cur = e_next
+    if not keep_tape:
+        tape.stages = [e_cur]
     final_flat = e_cur.reshape(B, config.flat_dim)
     tape.logits = final_flat @ params["head_w"] + params["head_b"][0]
     tape.scores = sigmoid(tape.logits)
     return tape.scores, tape
 
 
+def require_finite(tape: TapeCache, first_row: int) -> None:
+    """Raise NonFiniteScore naming the first row whose logit is not finite,
+    counting from first_row, the chunk's position in the scored dataset."""
+    bad = np.flatnonzero(~np.isfinite(tape.logits))
+    if bad.size:
+        raise NonFiniteScore(
+            f"scored row {first_row + bad[0]}: logit {tape.logits[bad[0]]} is not finite"
+        )
+
+
 def predict_scores(
     dataset: EncodedDataset, params: Params, config: ModelConfig, chunk: int = 8192
 ) -> np.ndarray:
-    """Score a dataset in fixed-order chunks (no tape retained)."""
+    """Score a dataset in fixed-order chunks, each a forward pass without a
+    tape, so memory is bounded by the chunk, not the dataset. A non-finite
+    logit raises NonFiniteScore."""
     out = np.empty(len(dataset))
     for start in range(0, len(dataset), chunk):
         rows = slice(start, start + chunk)
-        out[rows] = predict(dataset.take(rows), params, config)[0]
+        _, tape = predict(dataset.take(rows), params, config, keep_tape=False)
+        require_finite(tape, start)
+        out[rows] = tape.scores
     return out
 
 

@@ -1,9 +1,13 @@
 """End-to-end command-line tests over tiny datasets."""
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import contextnet
+from contextnet.checkpoint import load_checkpoint, save_checkpoint
 from contextnet.cli import main
 from contextnet.data import split_indices
 from contextnet.metrics import rela_imp
@@ -89,6 +93,28 @@ def with_cell(src, dst, row, column, raw):
     lines[row] = "\t".join(cells)
     dst.write_text("\n".join(lines) + "\n")
     return str(dst)
+
+
+def tampered_checkpoint(run_dir, dst, edit):
+    """Copy a run's checkpoint with edit(params) applied to its tensors."""
+    params, config, header = load_checkpoint(os.path.join(run_dir, "checkpoint.bin"))
+    edit(params)
+    save_checkpoint(
+        str(dst), params, config, header["cardinalities"], header["fields"], header["seed"]
+    )
+    return str(dst)
+
+
+def run_optimized(argv):
+    """Run the CLI in a `python -O` subprocess, where asserts are stripped."""
+    src = os.path.dirname(os.path.dirname(contextnet.__file__))
+    return subprocess.run(
+        [sys.executable, "-O", "-m", "contextnet.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=300,
+    )
 
 
 def read_metrics(path):
@@ -401,6 +427,84 @@ class TestEvaluateCommand:
         assert code == 3
         err = capsys.readouterr().err
         assert f"field {field!r}: token indices" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "mean, std", [("nan", "1.0"), ("0.5", "inf"), ("0.5", "-1.0")]
+    )
+    def test_non_finite_vocabulary_stats_exit_3(
+        self, numeric_dir, tmp_path, capsys, mean, std
+    ):
+        run = numeric_dir / "run"
+        lines = (run / "vocab.txt").read_text().splitlines()
+        i = lines.index("#numeric-stats") + 1
+        assert lines[i].startswith("x\t")
+        lines[i] = f"x\t{mean}\t{std}"
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("\n".join(lines) + "\n")
+        code = main(
+            [
+                "evaluate",
+                "--checkpoint", str(run / "checkpoint.bin"),
+                "--vocab", str(vocab),
+                "--schema", str(numeric_dir / "schema.tsv"),
+                "--data", str(numeric_dir / "data.tsv"),
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "field 'x': mean" in err and err.count("\n") == 1
+
+    def test_non_finite_checkpoint_tensor_exits_3_under_optimize(
+        self, synth_dir, run_dir, tmp_path
+    ):
+        def nan_intercept(params):
+            params["head_b"][0] = np.nan
+
+        bad = tampered_checkpoint(run_dir, tmp_path / "nan.bin", nan_intercept)
+        result = run_optimized(
+            [
+                "evaluate", "--split", "all",
+                "--checkpoint", bad,
+                "--vocab", os.path.join(run_dir, "vocab.txt"),
+                "--schema", os.path.join(synth_dir, "schema.tsv"),
+                "--data", os.path.join(synth_dir, "data.tsv"),
+            ]
+        )
+        assert result.returncode == 3, result.stdout
+        assert result.stdout == ""
+        assert "tensor head_b holds a non-finite value" in result.stderr
+        assert result.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command",
+        [["evaluate", "--split", "all"], ["explain", "--corpus", "norm"]],
+        ids=["evaluate", "explain-corpus"],
+    )
+    def test_overflowing_scores_exit_4_under_optimize(
+        self, synth_dir, run_dir, tmp_path, command
+    ):
+        """A last-block bias of 1e308 against head weights of both signs
+        makes every logit inf - inf = nan."""
+        def overflow(params):
+            params["ln_bias.1"][...] = 1e308
+            params["head_w"][::2] = 2.0
+            params["head_w"][1::2] = -2.0
+
+        bad = tampered_checkpoint(run_dir, tmp_path / "over.bin", overflow)
+        result = run_optimized(
+            [
+                *command,
+                "--checkpoint", bad,
+                "--vocab", os.path.join(run_dir, "vocab.txt"),
+                "--schema", os.path.join(synth_dir, "schema.tsv"),
+                "--data", os.path.join(synth_dir, "data.tsv"),
+            ]
+        )
+        assert result.returncode == 4, result.stdout
+        assert result.stdout == ""
+        # NumPy's own overflow warnings may come first; the report is one line
+        errors = [x for x in result.stderr.splitlines() if x.startswith("error:")]
+        assert errors == ["error: scored row 0: logit nan is not finite"]
 
     def test_schema_mismatch_exits_3_naming_issue(self, synth_dir, run_dir, tmp_path, capsys):
         wrong = tmp_path / "schema.tsv"

@@ -8,7 +8,7 @@ from contextnet.interpret import (
     corpus_feature_importance,
     instance_feature_weights,
 )
-from contextnet.model import ModelConfig, init_params, predict
+from contextnet.model import ModelConfig, NonFiniteScore, init_params, predict
 from contextnet.ops import Rng, logit
 
 CARDS = [6, 5, 4]
@@ -130,6 +130,15 @@ class TestCorpusImportance:
         rows = corpus_feature_importance(params, CFG, ds, mode="norm")
         scores = [r.score for r in rows]
         assert scores == sorted(scores, reverse=True)
+
+    def test_non_finite_logit_names_first_bad_row(self):
+        params = trained_like_params(15)
+        n = 3 * 4096
+        indices = np.stack([Rng(16).integers(0, c, (n,)) for c in CARDS], axis=1)
+        ds = EncodedDataset(np.ones(n), indices, np.ones((n, 3)))
+        ds.values[[5000, 9000], 2] = np.nan
+        with pytest.raises(NonFiniteScore, match="scored row 5000:"):
+            corpus_feature_importance(params, CFG, ds)
 
 
 class TestBlockDotProducts:
