@@ -11,10 +11,13 @@ The lines are compared with scripts/same_seed_digests.txt: the script exits
 on standard error and exits 1. After a deliberate change of outputs, save
 the new standard output to another file and move it over that one.
 
-Recipes (all through the command line, each from its own seed):
-  a  acceptance criterion 11: `synth` 3000 rows of 4 fields of 12 tokens,
-     `train --seed 29 --embed-dim 6 --agg-width 8 --blocks 2 --epochs 3
-     --patience 3 --batch-size 256 --lr 0.001`
+Inputs come from the generators: recipes a-c share the test-support
+generator's 3000 rows of 4 fields of 12 tokens (tests/synth.py, seed 3;
+the first line digests its data.tsv), and recipe d reads perfbench/gen.py's
+`wide` input. Training, scoring and explaining run through the command
+line, each recipe from its own seed:
+  a  acceptance criterion 11: `train --seed 29 --embed-dim 6 --agg-width 8
+     --blocks 2 --epochs 3 --patience 3 --batch-size 256 --lr 0.001`
   b  a with `--variant pffn --sharing agg --blocks 3`; the stdout of
      `evaluate --split all`, `explain --corpus norm --top 0` and
      `explain --instance 7` over its outputs is digested too
@@ -43,15 +46,15 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
+sys.path[:0] = [os.path.join(ROOT, "src"), ROOT, os.path.join(ROOT, "tests")]
 
 from contextnet.cli import main as cli  # noqa: E402
 from perfbench import gen  # noqa: E402
+import synth  # noqa: E402
 
-SYNTH = [
-    "--fields", "4", "--cardinalities", "12", "--rows", "3000",
-    "--scale", "0.6", "--latent-dim", "2", "--seed", "3",
-]
+SYNTH = synth.SynthSpec(
+    n_fields=4, cardinalities=(12,), rows=3000, scale=0.6, latent_dim=2, seed=3
+)
 RECIPE_A = [
     "--seed", "29", "--embed-dim", "6", "--agg-width", "8", "--blocks", "2",
     "--epochs", "3", "--patience", "3", "--batch-size", "256", "--lr", "0.001",
@@ -108,11 +111,12 @@ def output_digests(out: str) -> list[tuple[str, str]]:
 
 def digests(work: str):
     """Yield (recipe, output, sha256) for every recipe."""
-    synth = os.path.join(work, "synth")
-    run(["synth", "--out", synth, *SYNTH])
+    shared = os.path.join(work, "synth")
+    with open(synth.write_dataset(synth.generate(SYNTH), shared)["data"], "rb") as fh:
+        yield "abc", "data.tsv", sha256(fh.read())
     wide = os.path.join(work, "wide")
     gen.write("wide", 1, wide)
-    inputs = {name: synth for name in "abc"} | {"d": wide}
+    inputs = {name: shared for name in "abc"} | {"d": wide}
     for name, flags in RECIPES.items():
         data = ["--data", os.path.join(inputs[name], "data.tsv"),
                 "--schema", os.path.join(inputs[name], "schema.tsv")]

@@ -1,7 +1,7 @@
 """Contextual-embedding CTR models: feature pipeline, model, training, interpretability."""
 
 from contextnet.ops import Rng, sigmoid, logit, mix_seed
-from contextnet.model import ModelConfig, init_params, predict, loss_and_grads, param_count
+from contextnet.model import ModelConfig, init_params, predict, loss_and_grads
 from contextnet.data import (
     FieldSchema,
     Vocabulary,
@@ -24,7 +24,6 @@ __all__ = [
     "init_params",
     "predict",
     "loss_and_grads",
-    "param_count",
     "FieldSchema",
     "Vocabulary",
     "EncodedDataset",

@@ -1,4 +1,4 @@
-"""Command-line interface: train, evaluate, explain, and synth subcommands.
+"""Command-line interface: train, evaluate, and explain subcommands.
 
 Options come from CLI flags, an optional flat `key = value` config file, and
 built-in defaults, in that precedence order. Unknown config keys are
@@ -17,7 +17,6 @@ import numpy as np
 from contextnet import checkpoint as ckpt
 from contextnet import data as dt
 from contextnet import interpret as itp
-from contextnet import synth as sy
 from contextnet.metrics import auc, logloss, rela_imp
 from contextnet.model import ModelConfig, NonFiniteScore, init_params, predict_scores
 from contextnet.training import TrainConfig, TrainingDiverged, train
@@ -92,27 +91,15 @@ _EXPLAIN_OPTS = [
     ("top", int, 20, "rows to print in corpus mode (0 = all)"),
     ("out", str, None, "also write the report to this file"),
 ]
-_SYNTH_OPTS = [
-    ("out", str, None, "output directory"),
-    ("fields", int, 6, "number of categorical fields"),
-    ("cardinalities", str, "50", "tokens per field (single value or comma list)"),
-    ("rows", int, 200_000, "instances to generate"),
-    ("scale", float, 0.25, "interaction strength (0 = pure noise labels)"),
-    ("latent_dim", int, 4, "latent vector size per token"),
-    ("token_skew", float, 0.0, "rank-frequency skew exponent (0 = uniform)"),
-    ("seed", int, 0, "generator seed"),
-]
 _OPTS = {
     "train": _TRAIN_OPTS,
     "evaluate": _EVAL_OPTS,
     "explain": _EXPLAIN_OPTS,
-    "synth": _SYNTH_OPTS,
 }
 _REQUIRED = {
     "train": ("data", "schema", "out"),
     "evaluate": ("checkpoint", "vocab", "schema", "data"),
     "explain": ("checkpoint", "vocab", "schema", "data"),
-    "synth": ("out",),
 }
 
 
@@ -303,7 +290,7 @@ def cmd_explain(opts: dict) -> int:
         if not 0 <= n < len(dataset):
             raise dt.DataError(f"instance {n} out of range (0..{len(dataset) - 1})")
         inst = dataset.take(slice(n, n + 1))
-        report = itp.instance_feature_weights(params, config, inst, field_names)
+        report = itp.instance_feature_weights(params, config, inst, field_names, n)
         lines.append(f"instance\t{n}")
         lines.append(f"score\t{report.score:.10f}")
         lines.append(f"logit\t{report.logit:.10f}")
@@ -339,39 +326,10 @@ def cmd_explain(opts: dict) -> int:
     return EXIT_OK
 
 
-def cmd_synth(opts: dict) -> int:
-    try:
-        cards = tuple(int(c) for c in opts["cardinalities"].split(",") if c.strip())
-    except ValueError:
-        raise ConfigError(
-            f"cannot parse cardinalities {opts['cardinalities']!r}"
-        ) from None
-    spec = sy.SynthSpec(
-        n_fields=opts["fields"],
-        cardinalities=cards,
-        rows=opts["rows"],
-        scale=opts["scale"],
-        latent_dim=opts["latent_dim"],
-        token_skew=opts["token_skew"],
-        seed=opts["seed"],
-    )
-    try:
-        data = sy.generate(spec)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    paths = sy.write_dataset(data, opts["out"])
-    print(f"rows\t{spec.rows}")
-    print(f"positive_rate\t{data.labels.mean():.6f}")
-    print(f"bayes_auc\t{data.bayes_auc:.10f}")
-    print(f"outputs in {opts['out']}")
-    return EXIT_OK
-
-
 _HANDLERS = {
     "train": cmd_train,
     "evaluate": cmd_evaluate,
     "explain": cmd_explain,
-    "synth": cmd_synth,
 }
 
 

@@ -66,12 +66,6 @@ def load_schema(path: str) -> list[FieldSchema]:
     return make_schema(pairs)
 
 
-def save_schema(schema: list[FieldSchema], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for f in schema:
-            fh.write(f"{f.name}\t{f.kind}\n")
-
-
 @dataclass
 class Vocabulary:
     """Per-field token->index maps (index 0 reserved for OOV/missing) and

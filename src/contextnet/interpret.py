@@ -47,10 +47,13 @@ def instance_feature_weights(
     config: ModelConfig,
     instance: EncodedDataset,
     field_names: list[str] | None = None,
+    row: int = 0,
 ) -> FeatureWeightReport:
     """Per-field contributions for a one-row dataset; they sum (with the
-    intercept) to the prediction logit."""
+    intercept) to the prediction logit. A non-finite logit raises
+    NonFiniteScore naming row, the instance's position in its dataset."""
     scores, tape = predict(instance, params, config)
+    require_finite(tape, row)
     fw = _field_weights(tape.stages[-1], params, config)[0]
     names = field_names or [f"field_{i}" for i in range(config.n_fields)]
     return FeatureWeightReport(
@@ -71,7 +74,6 @@ def corpus_feature_importance(
     mode: str = IMPORTANCE_NORM,
     alpha: float = 10.0,
     chunk: int = 4096,
-    include_absent: bool = False,
 ) -> list[ImportanceRow]:
     """Aggregate |per-field weight| per feature value over a dataset.
 
@@ -79,7 +81,7 @@ def corpus_feature_importance(
     (n + alpha) where n counts the instances containing the feature value,
     damping rare features. Numerical fields aggregate under one per-field
     key. Rows are sorted by descending score; feature values absent from
-    the dataset (score 0, n 0) are listed only when include_absent is set.
+    the dataset are not listed.
     Chunks are scored without a tape; a non-finite logit raises
     NonFiniteScore.
     """
@@ -110,7 +112,7 @@ def corpus_feature_importance(
             continue
         for idx in range(cards[i]):
             n = int(counts[i][idx])
-            if n == 0 and not include_absent:
+            if n == 0:
                 continue
             total = float(sums[i][idx])
             score = total if mode == IMPORTANCE_SUM else total / (n + alpha)

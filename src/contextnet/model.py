@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from contextnet.data import EncodedDataset
+from contextnet.metrics import logloss
 from contextnet.ops import (
     Rng,
     ShapeError,
@@ -39,9 +40,6 @@ SHARE_AGG_PROJ = "agg-proj"
 
 LN_EPS = 1e-5
 _INIT_SALT = 0x1217
-
-# log-argument clamp for the cross-entropy loss
-_P_FLOOR = 1e-12
 
 # tensor name -> array, in param_shapes order
 Params = dict[str, np.ndarray]
@@ -338,12 +336,6 @@ def predict_scores(
     return out
 
 
-def bce_loss(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Mean clamped cross-entropy over a batch."""
-    p = np.clip(scores, _P_FLOOR, 1.0 - _P_FLOOR)
-    return float(-np.mean(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)))
-
-
 def l2_norm(params: Params) -> float:
     """Sum of squares over the regularized tensors (weights, not biases)."""
     return float(sum(np.sum(a * a) for n, a in params.items() if _regularized(n)))
@@ -360,7 +352,7 @@ def loss_and_grads(
     additionally receives 2 * l2 * w.
     """
     scores, tape = predict(batch, params, config)
-    loss = bce_loss(scores, batch.labels)
+    loss = logloss(scores, batch.labels)
     objective = loss
     grads = {name: np.zeros_like(a) for name, a in params.items()}
     B = len(batch)
@@ -428,24 +420,3 @@ def loss_and_grads(
             if _regularized(name):
                 grads[name] += 2.0 * config.l2 * w
     return objective, grads
-
-
-def param_count(config: ModelConfig, cardinalities: list[int]) -> int:
-    """Closed-form number of learnable scalars for the configuration."""
-    k = config.embed_dim
-    t = config.agg_width
-    f = config.n_fields
-    m = config.flat_dim
-    total = sum(cardinalities) * k + m + 1
-    if config.has_tce:
-        total += config.n_agg_slots * (t * m + t)
-        total += config.n_proj_slots * f * (k * t + k)
-    if config.has_ffn:
-        if config.variant == PFFN:
-            total += config.n_blocks * (2 * k * k + 2 * k)
-        else:
-            total += config.n_blocks * k * k
-    if config.has_ln:
-        total += config.n_blocks * 2 * k
-    return total
-

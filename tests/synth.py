@@ -1,4 +1,5 @@
-"""Synthetic CTR datasets with a multiplicative-interaction ground truth.
+"""Test support: synthetic CTR datasets with a multiplicative-interaction
+ground truth and their Bayes-optimal AUC.
 
 Each field draws tokens uniformly; every token owns a latent vector. The
 generating logit of an instance is the scaled sum of latent dot products
@@ -44,7 +45,6 @@ class SynthSpec:
 
 @dataclass
 class SynthData:
-    spec: SynthSpec
     tokens: np.ndarray  # [n, f] int64 in [0, card_i)
     probs: np.ndarray  # [n] generating probabilities
     labels: np.ndarray  # [n] float64 in {0, 1}
@@ -113,7 +113,6 @@ def generate(spec: SynthSpec) -> SynthData:
     probs = sigmoid(spec.scale * raw)
     labels = (label_rng.random((n,)) < probs).astype(np.float64)
     return SynthData(
-        spec=spec,
         tokens=tokens,
         probs=probs,
         labels=labels,
@@ -123,12 +122,11 @@ def generate(spec: SynthSpec) -> SynthData:
 
 
 def write_dataset(data: SynthData, out_dir: str) -> dict[str, str]:
-    """Write data.tsv, schema.tsv, and info.txt; returns the paths."""
+    """Write data.tsv and schema.tsv; returns their paths."""
     os.makedirs(out_dir, exist_ok=True)
     paths = {
         "data": os.path.join(out_dir, "data.tsv"),
         "schema": os.path.join(out_dir, "schema.tsv"),
-        "info": os.path.join(out_dir, "info.txt"),
     }
     with open(paths["schema"], "w", encoding="utf-8") as fh:
         for name in data.field_names:
@@ -138,25 +136,4 @@ def write_dataset(data: SynthData, out_dir: str) -> dict[str, str]:
         for r in range(data.tokens.shape[0]):
             toks = "\t".join(f"v{t}" for t in data.tokens[r])
             fh.write(f"{label_int[r]}\t{toks}\n")
-    spec = data.spec
-    with open(paths["info"], "w", encoding="utf-8") as fh:
-        fh.write(f"rows\t{spec.rows}\n")
-        fh.write(f"fields\t{spec.n_fields}\n")
-        cards = ",".join(map(str, spec.resolved_cardinalities()))
-        fh.write(f"cardinalities\t{cards}\n")
-        fh.write(f"scale\t{spec.scale!r}\n")
-        fh.write(f"latent_dim\t{spec.latent_dim}\n")
-        fh.write(f"token_skew\t{spec.token_skew!r}\n")
-        fh.write(f"seed\t{spec.seed}\n")
-        fh.write(f"positive_rate\t{data.labels.mean()!r}\n")
-        fh.write(f"bayes_auc\t{data.bayes_auc!r}\n")
     return paths
-
-
-def read_info(path: str) -> dict[str, str]:
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            key, _, value = line.rstrip("\n").partition("\t")
-            out[key] = value
-    return out

@@ -12,25 +12,17 @@ from contextnet.cli import main
 from contextnet.data import split_indices
 from contextnet.metrics import rela_imp
 from contextnet.ops import logit
+from synth import SynthSpec, generate, write_dataset
 
 
 @pytest.fixture(scope="module")
 def synth_dir(tmp_path_factory):
-    """A small synthetic dataset generated through the CLI."""
+    """A small synthetic dataset."""
     out = str(tmp_path_factory.mktemp("synth"))
-    code = main(
-        [
-            "synth",
-            "--out", out,
-            "--fields", "3",
-            "--cardinalities", "6",
-            "--rows", "600",
-            "--scale", "0.8",
-            "--latent-dim", "2",
-            "--seed", "5",
-        ]
+    spec = SynthSpec(
+        n_fields=3, cardinalities=(6,), rows=600, scale=0.8, latent_dim=2, seed=5
     )
-    assert code == 0
+    write_dataset(generate(spec), out)
     return out
 
 
@@ -123,33 +115,6 @@ def read_metrics(path):
         key, _, value = line.strip().partition("\t")
         out[key] = float(value)
     return out
-
-
-class TestSynthCommand:
-    def test_outputs_exist(self, synth_dir):
-        for name in ("data.tsv", "schema.tsv", "info.txt"):
-            assert os.path.exists(os.path.join(synth_dir, name))
-
-    def test_same_seed_identical_files(self, synth_dir, tmp_path):
-        other = str(tmp_path / "again")
-        code = main(
-            [
-                "synth",
-                "--out", other,
-                "--fields", "3",
-                "--cardinalities", "6",
-                "--rows", "600",
-                "--scale", "0.8",
-                "--latent-dim", "2",
-                "--seed", "5",
-            ]
-        )
-        assert code == 0
-        for name in ("data.tsv", "schema.tsv", "info.txt"):
-            assert (
-                open(os.path.join(synth_dir, name)).read()
-                == open(os.path.join(other, name)).read()
-            )
 
 
 class TestTrainCommand:
@@ -476,15 +441,20 @@ class TestEvaluateCommand:
         assert result.stderr.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "command",
-        [["evaluate", "--split", "all"], ["explain", "--corpus", "norm"]],
-        ids=["evaluate", "explain-corpus"],
+        "command, error",
+        [
+            (["evaluate", "--split", "all"], "scored row 0: logit nan is not finite"),
+            (["explain", "--corpus", "norm"], "scored row 0: logit nan is not finite"),
+            (["explain", "--instance", "3"], "scored row 3: logit inf is not finite"),
+        ],
+        ids=["evaluate", "explain-corpus", "explain-instance"],
     )
     def test_overflowing_scores_exit_4_under_optimize(
-        self, synth_dir, run_dir, tmp_path, command
+        self, synth_dir, run_dir, tmp_path, command, error
     ):
         """A last-block bias of 1e308 against head weights of both signs
-        makes every logit inf - inf = nan."""
+        overflows every logit: inf - inf = nan over a batch, inf for the
+        one-row product of a single instance."""
         def overflow(params):
             params["ln_bias.1"][...] = 1e308
             params["head_w"][::2] = 2.0
@@ -504,7 +474,7 @@ class TestEvaluateCommand:
         assert result.stdout == ""
         # NumPy's own overflow warnings may come first; the report is one line
         errors = [x for x in result.stderr.splitlines() if x.startswith("error:")]
-        assert errors == ["error: scored row 0: logit nan is not finite"]
+        assert errors == [f"error: {error}"]
 
     def test_schema_mismatch_exits_3_naming_issue(self, synth_dir, run_dir, tmp_path, capsys):
         wrong = tmp_path / "schema.tsv"
@@ -581,6 +551,32 @@ class TestExplainCommand:
             self._explain(synth_dir, run_dir, ["--instance", "0", "--corpus", "sum"])
             == 2
         )
+
+
+class TestQuickstart:
+    def test_generated_demo_data_trains_evaluates_and_explains(self, tmp_path, capsys):
+        """The README recipe: perfbench/gen.py writes the demo input, and
+        train, evaluate and explain run on it."""
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        demo, run = str(tmp_path / "demo"), str(tmp_path / "run")
+        subprocess.run(
+            [sys.executable, os.path.join(repo, "perfbench", "gen.py"),
+             "--shape", "ml1m", "--seed", "1", "--out", demo],
+            check=True,
+            timeout=300,
+        )
+        data = ["--schema", os.path.join(demo, "schema.tsv"),
+                "--data", os.path.join(demo, "data.tsv")]
+        code = main(["train", *data, "--out", run, "--blocks", "3",
+                     "--variant", "sffn", "--seed", "1", "--epochs", "1"])
+        assert code == 0
+        assert read_metrics(os.path.join(run, "metrics.txt"))["test_auc"] > 0.6
+        model = ["--checkpoint", os.path.join(run, "checkpoint.bin"),
+                 "--vocab", os.path.join(run, "vocab.txt"), *data]
+        capsys.readouterr()
+        assert main(["evaluate", *model, "--split", "test"]) == 0
+        assert main(["explain", *model, "--instance", "42"]) == 0
+        assert "logit" in capsys.readouterr().out
 
 
 class TestDeterminism:

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contextnet.data import EncodedDataset
 from contextnet.metrics import auc, logloss, rela_imp
+from contextnet.model import ModelConfig, init_params, loss_and_grads, predict_scores
 from contextnet.ops import Rng
 
 
@@ -91,14 +93,20 @@ class TestLogloss:
         assert v == pytest.approx(-np.log(1e-12), rel=1e-6)
 
     def test_matches_model_loss(self):
-        from contextnet.model import bce_loss
-
+        """Without l2, the training loss is the log loss the metrics report
+        on the model's own scores, bit for bit."""
+        cards = [6, 5, 4]
+        config = ModelConfig(n_fields=3, embed_dim=4, agg_width=5, n_blocks=2)
         rng = Rng(1)
-        scores = rng.random((200,))
-        labels = (rng.random((200,)) < 0.5).astype(float)
-        assert logloss(scores, labels) == pytest.approx(
-            bce_loss(scores, labels), abs=1e-12
-        )
+        params = init_params(config, cards, seed=1)
+        for t in params.values():
+            t[...] = rng.normal(t.shape, scale=0.3)
+        n = 200
+        indices = np.stack([rng.integers(0, c, (n,)) for c in cards], axis=1)
+        labels = (rng.random((n,)) < 0.5).astype(float)
+        batch = EncodedDataset(labels, indices, np.ones((n, 3)))
+        loss, _ = loss_and_grads(batch, params, config)
+        assert loss == logloss(predict_scores(batch, params, config), labels)
 
 
 class TestRelaImp:

@@ -1,5 +1,6 @@
 """Model tests: initialization, forward contracts, sharing, counts, checkpoints."""
 import json
+import math
 import struct
 import tracemalloc
 from dataclasses import replace
@@ -13,15 +14,15 @@ from contextnet.data import EncodedDataset
 from contextnet.model import (
     ModelConfig,
     NonFiniteScore,
-    bce_loss,
     embed,
     init_params,
     l2_norm,
     loss_and_grads,
-    param_count,
+    param_shapes,
     predict,
     predict_scores,
 )
+from contextnet.metrics import logloss
 from contextnet.ops import Rng, layer_norm, mix_seed, sigmoid
 
 
@@ -445,7 +446,7 @@ class TestLossAndL2:
         scores = np.array([0.9, 0.2, 0.7])
         labels = np.array([1.0, 0.0, 0.0])
         manual = -(np.log(0.9) + np.log(0.8) + np.log(0.3)) / 3
-        assert bce_loss(scores, labels) == pytest.approx(manual, abs=1e-15)
+        assert logloss(scores, labels) == pytest.approx(manual, abs=1e-15)
 
     def test_l2_zero_params(self):
         p = init_params(CFG, CARDS, seed=0)
@@ -478,6 +479,10 @@ class TestLossAndL2:
         p["ln_gain.0"][...] += 100.0
         p["head_b"][0] += 100.0
         assert l2_norm(p) == before
+
+
+def param_count(config, cards):
+    return sum(math.prod(shape) for shape in param_shapes(config, cards).values())
 
 
 class TestParamCount:

@@ -4,7 +4,7 @@ import pytest
 
 from contextnet.metrics import auc
 from contextnet.ops import Rng
-from contextnet.synth import SynthSpec, expected_auc, generate, read_info, write_dataset
+from synth import SynthSpec, expected_auc, generate, write_dataset
 
 
 def pairwise_expected_auc(probs):
@@ -85,12 +85,10 @@ class TestGenerate:
 
 
 class TestWriteDataset:
-    def test_files_written_and_info_consistent(self, tmp_path):
+    def test_files_written(self, tmp_path):
         data = generate(SynthSpec(n_fields=3, cardinalities=(5,), rows=200, seed=13))
         paths = write_dataset(data, str(tmp_path / "out"))
-        info = read_info(paths["info"])
-        assert int(info["rows"]) == 200
-        assert float(info["bayes_auc"]) == data.bayes_auc
+        assert sorted(paths) == ["data", "schema"]
         schema_lines = open(paths["schema"]).read().strip().split("\n")
         assert schema_lines == ["c0\tcat", "c1\tcat", "c2\tcat"]
         data_lines = open(paths["data"]).read().strip().split("\n")
@@ -105,4 +103,4 @@ class TestWriteDataset:
         pa = write_dataset(a, str(tmp_path / "a"))
         pb = write_dataset(b, str(tmp_path / "b"))
         assert open(pa["data"]).read() == open(pb["data"]).read()
-        assert open(pa["info"]).read() == open(pb["info"]).read()
+        assert open(pa["schema"]).read() == open(pb["schema"]).read()
