@@ -19,7 +19,8 @@ line, each recipe from its own seed:
   a  acceptance criterion 11: `train --seed 29 --embed-dim 6 --agg-width 8
      --blocks 2 --epochs 3 --patience 3 --batch-size 256 --lr 0.001`
   b  a with `--variant pffn --sharing agg --blocks 3`; the stdout of
-     `evaluate --split all`, `explain --corpus norm --top 0` and
+     `evaluate --split all`, `evaluate --split test` (which splits by the
+     checkpoint header's seed), `explain --corpus norm --top 0` and
      `explain --instance 7` over its outputs is digested too
   c  a with `--sharing agg-proj --ablate ln --l2 1e-4`
   d  the benchmark's `wide` input of seed 1, trained with the `wide-sffn`
@@ -73,7 +74,7 @@ EVALUATE = ["evaluate", "--split", "all"]
 CORPUS = ["explain", "--corpus", "norm", "--top", "0"]
 # commands run over a recipe's outputs, digested by their stdout
 REPORTS = {
-    "b": [EVALUATE, CORPUS, ["explain", "--instance", "7"]],
+    "b": [EVALUATE, ["evaluate", "--split", "test"], CORPUS, ["explain", "--instance", "7"]],
     "d": [EVALUATE, CORPUS],
 }
 EXPECTED = os.path.join(ROOT, "scripts", "same_seed_digests.txt")

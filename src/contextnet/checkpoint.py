@@ -18,6 +18,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from contextnet.data import CATEGORICAL, NUMERICAL
 from contextnet.model import ModelConfig, Params, param_shapes
 
 MAGIC = b"CNETCKPT"
@@ -61,9 +62,9 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str) -> tuple[Params, ModelConfig, dict]:
-    """Read a checkpoint whose header must list exactly the tensors its
-    config and cardinalities call for and whose values are all finite; any
-    malformed file raises CheckpointError."""
+    """Read a checkpoint whose header holds an integer seed, one [name, kind]
+    pair per field and exactly the tensors its config and cardinalities call
+    for, with all values finite; any malformed file raises CheckpointError."""
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -85,6 +86,13 @@ def load_checkpoint(path: str) -> tuple[Params, ModelConfig, dict]:
             sizes = [config.n_fields, config.embed_dim, config.agg_width, config.n_blocks]
             if not all(type(n) is int for n in sizes + cards) or min(cards) < 1:
                 raise ValueError(f"bad sizes: config {sizes}, cardinalities {cards}")
+            if type(header["seed"]) is not int:
+                raise ValueError(f"seed {header['seed']!r} is not an integer")
+            fields = header["fields"]
+            if len(fields) != config.n_fields or not all(
+                type(name) is str and kind in (CATEGORICAL, NUMERICAL) for name, kind in fields
+            ):
+                raise ValueError(f"fields are not {config.n_fields} [name, cat|num] pairs")
             shapes = param_shapes(config, cards)
             listed = [(str(name), tuple(shape)) for name, shape in header["tensors"]]
         except (KeyError, TypeError, ValueError) as exc:

@@ -11,6 +11,7 @@ import argparse
 import ctypes
 import os
 import sys
+from itertools import zip_longest
 
 import numpy as np
 
@@ -245,10 +246,13 @@ def _load_model_inputs(opts: dict):
     params, config, header = ckpt.load_checkpoint(opts["checkpoint"])
     schema = dt.load_schema(opts["schema"])
     vocab = dt.load_vocabulary(opts["vocab"])
-    if len(schema) != config.n_fields:
-        raise ckpt.CheckpointError(
-            f"schema has {len(schema)} fields but checkpoint was trained with {config.n_fields}"
-        )
+    fields = [[f.name, f.kind] for f in schema]
+    for i, (got, want) in enumerate(zip_longest(fields, header["fields"])):
+        if got != want:
+            got, want = (f"{p[0]} ({p[1]})" if p else "absent" for p in (got, want))
+            raise ckpt.CheckpointError(
+                f"schema fields differ from the checkpoint's: field {i} is {got}, not {want}"
+            )
     cards = dt.cardinalities(schema, vocab)
     if cards != header["cardinalities"]:
         raise ckpt.CheckpointError(
@@ -283,14 +287,13 @@ def cmd_explain(opts: dict) -> int:
     if (opts["instance"] is None) == (opts["corpus"] is None):
         raise ConfigError("pass exactly one of --instance or --corpus")
     params, config, header, schema, vocab, dataset = _load_model_inputs(opts)
-    field_names = [f.name for f in schema]
     lines = []
     if opts["instance"] is not None:
         n = opts["instance"]
         if not 0 <= n < len(dataset):
             raise dt.DataError(f"instance {n} out of range (0..{len(dataset) - 1})")
         inst = dataset.take(slice(n, n + 1))
-        report = itp.instance_feature_weights(params, config, inst, field_names, n)
+        report = itp.explain_instance(params, config, inst, n)
         lines.append(f"instance\t{n}")
         lines.append(f"score\t{report.score:.10f}")
         lines.append(f"logit\t{report.logit:.10f}")
@@ -300,8 +303,7 @@ def cmd_explain(opts: dict) -> int:
         for i in order:
             token = vocab.token_of(schema[i].name, int(inst.indices[0, i]))
             lines.append(f"{schema[i].name}\t{token}\t{report.weights[i]:+.10f}")
-        matrices = itp.block_dot_products(params, config, inst)
-        for level, mat in enumerate(matrices):
+        for level, mat in enumerate(report.correlations):
             lines.append(f"block-correlations\tlevel\t{level}")
             for row in mat:
                 lines.append("\t".join(f"{v:+.6f}" for v in row))

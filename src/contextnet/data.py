@@ -80,9 +80,6 @@ class Vocabulary:
             return 1
         return len(self.tokens[f.name]) + 1  # +1 for the OOV slot
 
-    def index_of(self, field_name: str, token: str) -> int:
-        return self.tokens[field_name].get(token, OOV_INDEX)
-
     def token_of(self, field_name: str, index: int) -> str:
         if field_name in self.numeric_stats:
             return "<numeric>"

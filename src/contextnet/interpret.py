@@ -1,5 +1,6 @@
-"""Interpretability: per-field weight scores, corpus-level feature importance,
-and per-block field-correlation matrices.
+"""Interpretability: per-instance weight scores and field correlations from
+one taped forward pass, and corpus-level feature importance scored in chunks
+without a tape.
 
 The prediction head is a logistic regression over the last block's output,
 so each field's signed contribution to the logit is the dot product of its
@@ -20,12 +21,12 @@ IMPORTANCE_NORM = "norm"
 
 
 @dataclass
-class FeatureWeightReport:
-    field_names: list[str]
+class InstanceReport:
     weights: np.ndarray  # [f] signed contributions to the logit
     intercept: float
     logit: float
     score: float
+    correlations: list[np.ndarray]  # per stage, symmetric [f, f] dot products
 
 
 @dataclass
@@ -42,26 +43,29 @@ def _field_weights(final: np.ndarray, params: Params, config: ModelConfig):
     return np.einsum("bfk,fk->bf", final, w)
 
 
-def instance_feature_weights(
-    params: Params,
-    config: ModelConfig,
-    instance: EncodedDataset,
-    field_names: list[str] | None = None,
-    row: int = 0,
-) -> FeatureWeightReport:
-    """Per-field contributions for a one-row dataset; they sum (with the
-    intercept) to the prediction logit. A non-finite logit raises
-    NonFiniteScore naming row, the instance's position in its dataset."""
+def explain_instance(
+    params: Params, config: ModelConfig, instance: EncodedDataset, row: int = 0
+) -> InstanceReport:
+    """Weight scores and field correlations of a one-row dataset.
+
+    The per-field weights plus the intercept sum to the prediction logit.
+    correlations holds n_blocks + 1 matrices of pairwise dot products between
+    field embeddings: level 0 is the embedding layer and level l the l-th
+    block's output. A non-finite logit raises NonFiniteScore naming row, the
+    instance's position in its dataset.
+    """
     scores, tape = predict(instance, params, config)
     require_finite(tape, row)
-    fw = _field_weights(tape.stages[-1], params, config)[0]
-    names = field_names or [f"field_{i}" for i in range(config.n_fields)]
-    return FeatureWeightReport(
-        field_names=list(names),
-        weights=fw,
+    correlations = []
+    for stage in tape.stages:
+        g = stage[0] @ stage[0].T
+        correlations.append(np.triu(g) + np.triu(g, 1).T)  # exactly symmetric
+    return InstanceReport(
+        weights=_field_weights(tape.stages[-1], params, config)[0],
         intercept=float(params["head_b"][0]),
         logit=float(tape.logits[0]),
         score=float(scores[0]),
+        correlations=correlations,
     )
 
 
@@ -120,23 +124,4 @@ def corpus_feature_importance(
             rows.append(ImportanceRow(fname, token, n, score))
     rows.sort(key=lambda r: (-r.score, r.field, r.token))
     return rows
-
-
-def block_dot_products(
-    params: Params, config: ModelConfig, instance: EncodedDataset
-) -> list[np.ndarray]:
-    """Pairwise dot products between field embeddings at every stage, for a
-    one-row dataset.
-
-    Returns n_blocks + 1 symmetric [f, f] matrices; level 0 is the embedding
-    layer and level l the l-th block's output.
-    """
-    _, tape = predict(instance, params, config)
-    matrices = []
-    for stage in tape.stages:
-        e = stage[0]
-        g = e @ e.T
-        g = np.triu(g) + np.triu(g, 1).T  # exactly symmetric by construction
-        matrices.append(g)
-    return matrices
 

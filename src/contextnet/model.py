@@ -211,7 +211,6 @@ class TapeCache:
     """Forward intermediates consumed by the backward pass (one per batch);
     a pass without a tape keeps only the last stage, logits and scores."""
 
-    batch: EncodedDataset
     stages: list  # [e0 .. eL]: embedding layer, then block outputs, [B, f, k]
     # per block, None where the configuration lacks the component:
     agg_pre: list = field(default_factory=list)  # [B, t] aggregation pre-activation
@@ -256,7 +255,7 @@ def predict(
     f, k, t = config.n_fields, config.embed_dim, config.agg_width
     e0 = embed(batch, params, config)
     e0_flat = e0.reshape(B, config.flat_dim)
-    tape = TapeCache(batch, [e0])
+    tape = TapeCache([e0])
     e_cur = e0
     for block in range(config.n_blocks):
         # views (flat, out) pin their base arrays, so they are reset too

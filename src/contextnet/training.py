@@ -69,23 +69,23 @@ class TrainHistory:
         return "\n".join(lines) + "\n"
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
+
+
 @dataclass
 class AdamState:
-    """First/second-moment buffers mirroring the parameter tensors."""
+    """First/second-moment buffers keyed like the parameter tensors."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: Params
+    v: Params
     step: int = 0
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def init_adam(params: Params, lr: float = 1e-4) -> AdamState:
     return AdamState(
-        m=[np.zeros_like(a) for a in params.values()],
-        v=[np.zeros_like(a) for a in params.values()],
+        m={name: np.zeros_like(a) for name, a in params.items()},
+        v={name: np.zeros_like(a) for name, a in params.items()},
         lr=lr,
     )
 
@@ -94,21 +94,21 @@ def adam_step(params: Params, grads: Params, state: AdamState) -> None:
     """One bias-corrected Adam update, applied tensor-wise in place."""
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     if grads.keys() != params.keys():
         raise ShapeError("gradient structure does not match parameters")
-    for i, (name, p) in enumerate(params.items()):
+    for name, p in params.items():
         g = grads[name]
         if p.shape != g.shape:
             raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        m = state.m[i]
-        v = state.v[i]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m = state.m[name]
+        v = state.v[name]
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
 def train(

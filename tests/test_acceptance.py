@@ -24,7 +24,7 @@ from contextnet.data import (
     load_schema,
     split_indices,
 )
-from contextnet.interpret import instance_feature_weights
+from contextnet.interpret import explain_instance
 from contextnet.metrics import auc, rela_imp
 from contextnet.model import (
     ModelConfig,
@@ -444,7 +444,7 @@ def test_criterion_10_interpretability_identity():
             np.array([[rng.integers(0, c) for c in cards]], dtype=np.int64),
             np.ones((1, 4)),
         )
-        report = instance_feature_weights(trained, config, inst)
+        report = explain_instance(trained, config, inst)
         total = report.weights.sum() + report.intercept
         worst = max(worst, abs(total - report.logit))
         assert worst < 1e-10

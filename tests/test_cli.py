@@ -1,5 +1,7 @@
 """End-to-end command-line tests over tiny datasets."""
+import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -7,10 +9,12 @@ import numpy as np
 import pytest
 
 import contextnet
+from contextnet import interpret
 from contextnet.checkpoint import load_checkpoint, save_checkpoint
 from contextnet.cli import main
 from contextnet.data import split_indices
 from contextnet.metrics import rela_imp
+from contextnet.model import predict
 from contextnet.ops import logit
 from synth import SynthSpec, generate, write_dataset
 
@@ -94,6 +98,17 @@ def tampered_checkpoint(run_dir, dst, edit):
     save_checkpoint(
         str(dst), params, config, header["cardinalities"], header["fields"], header["seed"]
     )
+    return str(dst)
+
+
+def edited_header(run_dir, dst, edit):
+    """Copy a run's checkpoint with edit(header) applied to its JSON header."""
+    blob = open(os.path.join(run_dir, "checkpoint.bin"), "rb").read()
+    n = struct.unpack("<I", blob[12:16])[0]
+    header = json.loads(blob[16 : 16 + n])
+    edit(header)
+    head = json.dumps(header, sort_keys=True).encode("utf-8")
+    dst.write_bytes(blob[:12] + struct.pack("<I", len(head)) + head + blob[16 + n :])
     return str(dst)
 
 
@@ -493,6 +508,42 @@ class TestEvaluateCommand:
         assert code == 3
         assert "fields" in capsys.readouterr().err
 
+    def test_swapped_schema_fields_exit_3_naming_first(self, synth_dir, run_dir, tmp_path, capsys):
+        # c0 and c1 have the same cardinality, so only the names tell them apart
+        swapped = tmp_path / "schema.tsv"
+        swapped.write_text("c1\tcat\nc0\tcat\nc2\tcat\n")
+        code = main(
+            [
+                "evaluate",
+                "--checkpoint", os.path.join(run_dir, "checkpoint.bin"),
+                "--vocab", os.path.join(run_dir, "vocab.txt"),
+                "--schema", str(swapped),
+                "--data", os.path.join(synth_dir, "data.tsv"),
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "field 0 is c1 (cat), not c0 (cat)" in err
+
+    @pytest.mark.parametrize("key", ["seed", "fields"])
+    def test_header_without_key_exits_3(self, synth_dir, run_dir, tmp_path, capsys, key):
+        bad = edited_header(run_dir, tmp_path / "bad.bin", lambda header: header.pop(key))
+        code = main(
+            [
+                "evaluate",
+                "--checkpoint", bad,
+                "--vocab", os.path.join(run_dir, "vocab.txt"),
+                "--schema", os.path.join(synth_dir, "schema.tsv"),
+                "--data", os.path.join(synth_dir, "data.tsv"),
+                "--split", "test",
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"corrupt header: '{key}'" in err
+
 
 class TestExplainCommand:
     def _explain(self, synth_dir, run_dir, extra):
@@ -522,6 +573,17 @@ class TestExplainCommand:
         total = sum(weights) + fields["intercept"]
         assert abs(total - fields["logit"]) < 1e-9
         assert fields["logit"] == pytest.approx(logit(fields["score"]), abs=1e-9)
+
+    def test_instance_runs_one_taped_pass(self, synth_dir, run_dir, capsys, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return predict(*args, **kwargs)
+
+        monkeypatch.setattr(interpret, "predict", counted)
+        assert self._explain(synth_dir, run_dir, ["--instance", "7"]) == 0
+        assert calls == [{}]
 
     def test_instance_emits_all_block_levels(self, synth_dir, run_dir, capsys):
         code = self._explain(synth_dir, run_dir, ["--instance", "0"])

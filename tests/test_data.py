@@ -104,7 +104,7 @@ def reference_encode(record, schema, vocab):
     for i, fs in enumerate(schema):
         raw = record[fs.position]
         if fs.kind == CATEGORICAL:
-            indices[i] = OOV_INDEX if raw == "" else vocab.index_of(fs.name, raw)
+            indices[i] = OOV_INDEX if raw == "" else vocab.tokens[fs.name].get(raw, OOV_INDEX)
             values[i] = 1.0
         elif raw != "":
             mean, std = vocab.numeric_stats[fs.name]
@@ -143,8 +143,8 @@ class TestBuildVocabulary:
     def test_min_count_threshold(self, schema):
         records = [rec("1", "a", "1", "x")] * 3 + [rec("0", "b", "2", "x")]
         vocab = vocab_of(records, schema, min_count=2)
-        assert vocab.index_of("color", "a") == 1
-        assert vocab.index_of("color", "b") == 0  # below threshold -> OOV
+        assert vocab.tokens["color"].get("a", OOV_INDEX) == 1
+        assert vocab.tokens["color"].get("b", OOV_INDEX) == 0  # below threshold -> OOV
 
     def test_all_distinct_cardinality(self, schema):
         records = [rec("0", f"c{i}", "0", f"s{i}") for i in range(5)]
@@ -219,7 +219,7 @@ class TestEncodeInstance:
 
     def test_decode_roundtrip_for_in_vocab_tokens(self, schema, vocab):
         for token in ("red", "blue"):
-            idx = vocab.index_of("color", token)
+            idx = vocab.tokens["color"].get(token, OOV_INDEX)
             assert vocab.token_of("color", idx) == token
 
 
@@ -259,7 +259,7 @@ class TestSplits:
         train_tokens = {records[r][1] for r in train}
         for r in val + test:
             if records[r][1] not in train_tokens:
-                assert vocab.index_of("color", records[r][1]) == 0
+                assert vocab.tokens["color"].get(records[r][1], OOV_INDEX) == 0
 
 
 def _toy_dataset(n, f=2, seed=0):

@@ -5,11 +5,7 @@ import numpy as np
 import pytest
 
 from contextnet.data import EncodedDataset
-from contextnet.interpret import (
-    block_dot_products,
-    corpus_feature_importance,
-    instance_feature_weights,
-)
+from contextnet.interpret import corpus_feature_importance, explain_instance
 from contextnet.model import ModelConfig, NonFiniteScore, init_params, predict
 from contextnet.ops import Rng, logit
 
@@ -35,7 +31,7 @@ class TestInstanceWeights:
     def test_zero_head_gives_zero_weights_and_sigmoid_intercept(self):
         params = init_params(CFG, CARDS, seed=1, pos_rate=0.3)
         inst = random_instance(Rng(2), CARDS)
-        report = instance_feature_weights(params, CFG, inst)
+        report = explain_instance(params, CFG, inst)
         assert not report.weights.any()
         assert report.score == pytest.approx(0.3, abs=1e-12)
         assert report.logit == pytest.approx(logit(0.3), abs=1e-12)
@@ -45,22 +41,16 @@ class TestInstanceWeights:
         rng = Rng(4)
         for _ in range(50):
             inst = random_instance(rng, CARDS)
-            report = instance_feature_weights(params, CFG, inst)
+            report = explain_instance(params, CFG, inst)
             total = report.weights.sum() + report.intercept
             assert abs(total - report.logit) < 1e-10
 
     def test_sum_to_logit_matches_predict(self):
         params = trained_like_params(5)
         inst = random_instance(Rng(6), CARDS)
-        report = instance_feature_weights(params, CFG, inst)
+        report = explain_instance(params, CFG, inst)
         scores, _ = predict(inst, params, CFG)
         assert report.score == scores[0]
-
-    def test_field_names_carried(self):
-        params = trained_like_params(7)
-        inst = random_instance(Rng(8), CARDS)
-        report = instance_feature_weights(params, CFG, inst, ["a", "b", "c"])
-        assert report.field_names == ["a", "b", "c"]
 
 
 def two_instance_corpus():
@@ -74,7 +64,7 @@ class TestCorpusImportance:
         params = trained_like_params(9)
         ds = two_instance_corpus().take(np.array([0]))
         rows = corpus_feature_importance(params, CFG, ds, mode="sum")
-        report = instance_feature_weights(params, CFG, ds.take(slice(0, 1)))
+        report = explain_instance(params, CFG, ds.take(slice(0, 1)))
         by_field = {r.field: r.score for r in rows}
         for i in range(3):
             assert by_field[f"field_{i}"] == pytest.approx(
@@ -84,8 +74,8 @@ class TestCorpusImportance:
     def test_two_instance_norm_mode_hand_arithmetic(self):
         params = trained_like_params(10)
         ds = two_instance_corpus()
-        r0 = instance_feature_weights(params, CFG, ds.take(slice(0, 1)))
-        r1 = instance_feature_weights(params, CFG, ds.take(slice(1, 2)))
+        r0 = explain_instance(params, CFG, ds.take(slice(0, 1)))
+        r1 = explain_instance(params, CFG, ds.take(slice(1, 2)))
         rows = corpus_feature_importance(params, CFG, ds, mode="norm", alpha=10.0)
         scores = {(r.field, r.token): r.score for r in rows}
         # field_0 token #1 appears in both instances: (|w0| + |w1|) / (2 + 10)
@@ -146,21 +136,21 @@ class TestBlockDotProducts:
     def test_count_and_shapes(self):
         params = trained_like_params(15)
         inst = random_instance(Rng(16), CARDS)
-        mats = block_dot_products(params, CFG, inst)
+        mats = explain_instance(params, CFG, inst).correlations
         assert len(mats) == CFG.n_blocks + 1
         assert all(m.shape == (3, 3) for m in mats)
 
     def test_exact_symmetry(self):
         params = trained_like_params(17)
         inst = random_instance(Rng(18), CARDS)
-        for m in block_dot_products(params, CFG, inst):
+        for m in explain_instance(params, CFG, inst).correlations:
             assert np.array_equal(m, m.T)
 
     def test_diagonal_is_squared_norm(self):
         params = trained_like_params(19)
         inst = random_instance(Rng(20), CARDS)
         _, tape = predict(inst, params, CFG)
-        mats = block_dot_products(params, CFG, inst)
+        mats = explain_instance(params, CFG, inst).correlations
         embed_vectors = tape.stages[0][0]
         for i in range(3):
             # independent norm oracle: sum of squares via python loop
@@ -171,6 +161,6 @@ class TestBlockDotProducts:
         config = ModelConfig(n_fields=4, embed_dim=10, agg_width=5, n_blocks=1)
         params = init_params(config, [9, 9, 9, 9], seed=21)
         inst = EncodedDataset(np.zeros(1), np.array([[1, 2, 3, 4]]), np.ones((1, 4)))
-        level0 = block_dot_products(params, config, inst)[0]
+        level0 = explain_instance(params, config, inst).correlations[0]
         off = level0[~np.eye(4, dtype=bool)]
         assert np.abs(off).max() < 0.01

@@ -621,6 +621,26 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=str(value)):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("seed", "20"),
+            ("seed", None),
+            ("fields", [["a", "cat"], ["b", "cat"]]),
+            ("fields", [["a", "cat"], ["b", "cat"], ["c", "bogus"]]),
+            ("fields", [["a", "cat"], ["b", "cat"], [3, "cat"]]),
+            ("fields", [["a", "cat"], ["b", "cat"], ["c"]]),
+        ],
+        ids=["seed-string", "seed-null", "fields-short", "fields-kind", "fields-name", "fields-pair"],
+    )
+    def test_invalid_header_seed_or_fields_rejected(self, tmp_path, key, value):
+        path = self.saved(tmp_path)
+        header, tensors = read_raw(path)
+        header[key] = value
+        write_raw(path, header, tensors)
+        with pytest.raises(CheckpointError, match="corrupt header"):
+            load_checkpoint(path)
+
     def test_header_missing_tensor_rejected(self, tmp_path):
         path = self.saved(tmp_path)
         header, tensors = read_raw(path)

@@ -73,8 +73,8 @@ class TestAdam:
         adam_step(params, grads, state)
         for after, prev in zip(params.values(), before):
             assert np.array_equal(after, prev)
-        assert all(m.max() > 0 for m in state.m)
-        assert all(v.max() > 0 for v in state.v)
+        assert all(m.max() > 0 for m in state.m.values())
+        assert all(v.max() > 0 for v in state.v.values())
 
     def test_shape_mismatch_rejected(self):
         params = init_params(CFG, CARDS, seed=5)
