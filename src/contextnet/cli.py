@@ -20,7 +20,7 @@ from contextnet import data as dt
 from contextnet import interpret as itp
 from contextnet.metrics import auc, logloss, rela_imp
 from contextnet.model import ModelConfig, NonFiniteScore, init_params, predict_scores
-from contextnet.training import TrainConfig, TrainingDiverged, train
+from contextnet.training import TrainConfig, TrainingDiverged, calibration_warning, train
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -207,6 +207,9 @@ def cmd_train(opts: dict) -> int:
         config, cards, opts["seed"], pos_rate=float(train_set.labels.mean())
     )
     best, history = train(config, params, train_set, val_set, tconf)
+    warning = calibration_warning(history, val_set.labels)
+    if warning:
+        print(warning, file=sys.stderr)
 
     test_scores = predict_scores(test_set, best, config)
     test_auc = auc(test_scores, test_set.labels)

@@ -38,9 +38,10 @@ class ImportanceRow:
 
 
 def _field_weights(final: np.ndarray, params: Params, config: ModelConfig):
-    """Signed per-field logit contributions for a batch: [B, f]."""
+    """Signed per-field logit contributions of a batch-last [k, f, B] final
+    stage: [f, B]."""
     w = params["head_w"].reshape(config.n_fields, config.embed_dim)
-    return np.einsum("bfk,fk->bf", final, w)
+    return np.einsum("kfb,fk->fb", final, w)
 
 
 def explain_instance(
@@ -58,10 +59,10 @@ def explain_instance(
     require_finite(tape, row)
     correlations = []
     for stage in tape.stages:
-        g = stage[0] @ stage[0].T
+        g = stage[:, :, 0].T @ stage[:, :, 0]
         correlations.append(np.triu(g) + np.triu(g, 1).T)  # exactly symmetric
     return InstanceReport(
-        weights=_field_weights(tape.stages[-1], params, config)[0],
+        weights=_field_weights(tape.stages[-1], params, config)[:, 0],
         intercept=float(params["head_b"][0]),
         logit=float(tape.logits[0]),
         score=float(scores[0]),
@@ -92,35 +93,30 @@ def corpus_feature_importance(
     if mode not in (IMPORTANCE_SUM, IMPORTANCE_NORM):
         raise ValueError(f"unknown importance mode {mode!r}")
     n_fields = config.n_fields
-    cards = [params[f"embed.{i}"].shape[0] for i in range(n_fields)]
-    sums = [np.zeros(c) for c in cards]
-    counts = [np.zeros(c, dtype=np.int64) for c in cards]
+    fw_abs = np.empty((n_fields, len(dataset)))
     for start in range(0, len(dataset), chunk):
         batch = dataset.take(slice(start, start + chunk))
         _, tape = predict(batch, params, config, keep_tape=False)
         require_finite(tape, start)
-        fw_abs = np.abs(_field_weights(tape.stages[-1], params, config))
-        for i in range(n_fields):
-            np.add.at(sums[i], batch.indices[:, i], fw_abs[:, i])
-            np.add.at(counts[i], batch.indices[:, i], 1)
+        fw = _field_weights(tape.stages[-1], params, config)
+        np.abs(fw, out=fw_abs[:, start : start + chunk])
 
     rows = []
     for i in range(n_fields):
         fname = schema[i].name if schema else f"field_{i}"
-        numeric = schema[i].kind == NUMERICAL if schema else cards[i] == 1
-        if numeric:
-            total = float(sums[i].sum())
-            n = int(counts[i].sum())
+        card = params[f"embed.{i}"].shape[0]
+        numeric = schema[i].kind == NUMERICAL if schema else card == 1
+        # per feature value (a numerical field has one), its rows' terms
+        # summed in row order from 0.0
+        present, inverse = np.unique(dataset.indices[:, i], return_inverse=True)
+        counts = np.bincount(inverse, minlength=present.size)
+        sums = np.bincount(inverse, weights=fw_abs[i], minlength=present.size)
+        for idx, n, total in zip(present.tolist(), counts.tolist(), sums.tolist()):
             score = total if mode == IMPORTANCE_SUM else total / (n + alpha)
-            rows.append(ImportanceRow(fname, "<numeric>", n, score))
-            continue
-        for idx in range(cards[i]):
-            n = int(counts[i][idx])
-            if n == 0:
-                continue
-            total = float(sums[i][idx])
-            score = total if mode == IMPORTANCE_SUM else total / (n + alpha)
-            token = vocab.token_of(fname, idx) if vocab else f"#{idx}"
+            if numeric:
+                token = "<numeric>"
+            else:
+                token = vocab.token_of(fname, idx) if vocab else f"#{idx}"
             rows.append(ImportanceRow(fname, token, n, score))
     rows.sort(key=lambda r: (-r.score, r.field, r.token))
     return rows

@@ -7,9 +7,12 @@ TapeCache, while scoring keeps just the last stage. Parameter sharing
 across blocks is realized by storing shared tensors once and resolving
 block -> storage slot, so gradients of shared tensors accumulate additively.
 
-Shapes follow the row-vector convention: a field embedding is a length-k
-row, a block maps [B, f, k] -> [B, f, k], and the prediction head is a
-logistic regression over the flattened [B, f*k] output of the last block.
+Activations are batch-last: a block maps [k, f, B] -> [k, f, B], so every
+broadcast and reduction runs over rows of B contiguous values and the FFN
+is one GEMM over [k, f*B]. The head is a logistic regression over the
+[k*f, B] output of the last block. Parameters keep their checkpoint layout
+(embeddings are length-k rows, flat axes in (f, k) order); the passes read
+agg_w, proj_w, proj_b and head_w through a (k, f) reordering of that axis.
 """
 from __future__ import annotations
 
@@ -22,12 +25,12 @@ from contextnet.metrics import logloss
 from contextnet.ops import (
     Rng,
     ShapeError,
-    col_sums,
     layer_norm,
     layer_norm_backward,
     logit,
     mix_seed,
     relu,
+    scatter_add,
     sigmoid,
 )
 
@@ -209,25 +212,26 @@ class NonFiniteScore(ArithmeticError):
 @dataclass
 class TapeCache:
     """Forward intermediates consumed by the backward pass (one per batch);
-    a pass without a tape keeps only the last stage, logits and scores."""
+    a pass without a tape keeps only the last stage, logits and scores.
+    Activations are batch-last, so batch is the contiguous axis."""
 
-    stages: list  # [e0 .. eL]: embedding layer, then block outputs, [B, f, k]
+    stages: list  # [e0 .. eL]: embedding layer, then block outputs, [k, f, B]
     # per block, None where the configuration lacks the component:
-    agg_pre: list = field(default_factory=list)  # [B, t] aggregation pre-activation
-    agg_act: list = field(default_factory=list)  # [B, t]
-    context: list = field(default_factory=list)  # [B, f, k] contextual embeddings
-    merged: list = field(default_factory=list)  # [B, f, k] Hadamard-merged
-    ffn_pre: list = field(default_factory=list)  # pffn pre-activation
-    ffn_hidden: list = field(default_factory=list)  # pffn hidden
-    ln: list = field(default_factory=list)  # LayerNormCache
+    agg_pre: list = field(default_factory=list)  # [t, B] aggregation pre-activation
+    agg_act: list = field(default_factory=list)  # [t, B]
+    context: list = field(default_factory=list)  # [k, f, B] contextual embeddings
+    merged: list = field(default_factory=list)  # [k, f, B] Hadamard-merged
+    ffn_pre: list = field(default_factory=list)  # pffn pre-activation, [k, f*B]
+    ffn_hidden: list = field(default_factory=list)  # pffn hidden, [k, f*B]
+    ln: list = field(default_factory=list)  # LayerNormCache over [k, f, B]
     logits: np.ndarray = None  # [B]
     scores: np.ndarray = None  # [B]
 
 
 def embed(batch: EncodedDataset, params: Params, config: ModelConfig) -> np.ndarray:
-    """Look up and scale per-field embeddings; returns [B, f, k]."""
+    """Look up and scale per-field embeddings; returns [k, f, B]."""
     B = len(batch)
-    out = np.empty((B, config.n_fields, config.embed_dim))
+    out = np.empty((config.embed_dim, config.n_fields, B))
     for i in range(config.n_fields):
         table = params[f"embed.{i}"]
         idx = batch.indices[:, i]
@@ -235,8 +239,15 @@ def embed(batch: EncodedDataset, params: Params, config: ModelConfig) -> np.ndar
             raise IndexError(
                 f"field {i}: index out of range for table of {table.shape[0]} rows"
             )
-        out[:, i, :] = table[idx] * batch.values[:, i, None]
+        np.multiply(table[idx].T, batch.values[:, i], out=out[:, i, :])
     return out
+
+
+def _kf_order(config: ModelConfig) -> np.ndarray:
+    """Index into the (f, k)-ordered flat parameter axis of agg_w, proj_w,
+    proj_b and head_w for each row of a batch-last [k*f, B] activation."""
+    f, k = config.n_fields, config.embed_dim
+    return np.arange(f * k).reshape(f, k).T.ravel()
 
 
 def predict(
@@ -252,9 +263,10 @@ def predict(
     the arithmetic, and so every output bit, stays the same.
     """
     B = len(batch)
-    f, k, t = config.n_fields, config.embed_dim, config.agg_width
+    f, k = config.n_fields, config.embed_dim
     e0 = embed(batch, params, config)
-    e0_flat = e0.reshape(B, config.flat_dim)
+    e0_flat = e0.reshape(k * f, B)
+    kf = _kf_order(config)
     tape = TapeCache([e0])
     e_cur = e0
     for block in range(config.n_blocks):
@@ -264,33 +276,33 @@ def predict(
         if config.has_tce:
             sa = config.agg_slot(block)
             sp = config.proj_slot(block)
-            agg_pre = e0_flat @ params[f"agg_w.{sa}"].T + params[f"agg_b.{sa}"]
+            agg_pre = params[f"agg_w.{sa}"][:, kf] @ e0_flat
+            agg_pre += params[f"agg_b.{sa}"][:, None]
             agg_act = relu(agg_pre)
-            proj = params[f"proj_w.{sp}"].reshape(f * k, t)
-            ce = (agg_act @ proj.T).reshape(-1, f, k)
-            ce += params[f"proj_b.{sp}"]
+            ce = params[f"proj_w.{sp}"].reshape(k * f, -1)[kf] @ agg_act
+            ce += params[f"proj_b.{sp}"].reshape(-1, 1)[kf]
+            ce = ce.reshape(k, f, B)
             merged = np.multiply(e_cur, ce, out=None if keep_tape else ce)
         e_next = merged
         if config.has_ffn:
-            flat = merged.reshape(-1, k)
+            flat = merged.reshape(k, f * B)
             w1 = params[f"ffn_w1.{block}"]
             if config.variant == PFFN:
-                pre = (flat @ w1 + params[f"ffn_b1.{block}"]).reshape(merged.shape)
+                pre = w1.T @ flat
+                pre += params[f"ffn_b1.{block}"][:, None]
                 hidden = relu(pre)
-                out = (
-                    hidden.reshape(-1, k) @ params[f"ffn_w2.{block}"]
-                    + params[f"ffn_b2.{block}"]
-                ).reshape(merged.shape)
+                out = params[f"ffn_w2.{block}"].T @ hidden
+                out += params[f"ffn_b2.{block}"][:, None]
                 if not config.no_rc:
-                    out = out + merged
+                    out += flat
             else:
-                out = (flat @ w1).reshape(merged.shape)
-            e_next = out
+                out = w1.T @ flat
+            e_next = out.reshape(k, f, B)
             if config.has_ln:
                 if not keep_tape:  # nothing reads these again
                     e_cur = ce = merged = flat = pre = hidden = None
                 e_next, ln_cache = layer_norm(
-                    out, params[f"ln_gain.{block}"], params[f"ln_bias.{block}"], LN_EPS
+                    e_next, params[f"ln_gain.{block}"], params[f"ln_bias.{block}"], LN_EPS
                 )
         if keep_tape:
             tape.agg_pre.append(agg_pre)
@@ -304,8 +316,7 @@ def predict(
         e_cur = e_next
     if not keep_tape:
         tape.stages = [e_cur]
-    final_flat = e_cur.reshape(B, config.flat_dim)
-    tape.logits = final_flat @ params["head_w"] + params["head_b"][0]
+    tape.logits = params["head_w"][kf] @ e_cur.reshape(k * f, B) + params["head_b"][0]
     tape.scores = sigmoid(tape.logits)
     return tape.scores, tape
 
@@ -355,17 +366,17 @@ def loss_and_grads(
     objective = loss
     grads = {name: np.zeros_like(a) for name, a in params.items()}
     B = len(batch)
-    k = config.embed_dim
+    f, k = config.n_fields, config.embed_dim
 
+    kf = _kf_order(config)
     dlogits = (scores - batch.labels) / B
-    grads["head_w"][...] = tape.stages[-1].reshape(B, config.flat_dim).T @ dlogits
+    grads["head_w"][kf] = tape.stages[-1].reshape(k * f, B) @ dlogits
     grads["head_b"][0] = dlogits.sum()
-    d_cur = np.outer(dlogits, params["head_w"]).reshape(B, config.n_fields, k)
-    e0_flat = tape.stages[0].reshape(B, config.flat_dim)
+    d_cur = np.outer(params["head_w"][kf], dlogits).reshape(k, f, B)
+    e0_flat = tape.stages[0].reshape(k * f, B)
     d_e0_flat = np.zeros_like(e0_flat)
 
     for block in reversed(range(config.n_blocks)):
-        merged = tape.merged[block]
         d_merged = d_cur
         if config.has_ffn:
             d_out = d_cur
@@ -373,45 +384,43 @@ def loss_and_grads(
                 d_out, dgain, dbias = layer_norm_backward(tape.ln[block], d_cur)
                 grads[f"ln_gain.{block}"] += dgain
                 grads[f"ln_bias.{block}"] += dbias
-            d_out_flat = d_out.reshape(-1, k)
+            d_out = d_out.reshape(k, f * B)
+            merged = tape.merged[block].reshape(k, f * B)
             w1 = params[f"ffn_w1.{block}"]
             if config.variant == PFFN:
-                w2 = params[f"ffn_w2.{block}"]
-                hidden_flat = tape.ffn_hidden[block].reshape(-1, k)
-                grads[f"ffn_w2.{block}"] += hidden_flat.T @ d_out_flat
-                grads[f"ffn_b2.{block}"] += col_sums(d_out_flat)
-                d_hidden = (d_out_flat @ w2.T).reshape(merged.shape)
-                d_pre = np.where(tape.ffn_pre[block] > 0.0, d_hidden, 0.0)
-                d_pre_flat = d_pre.reshape(-1, k)
-                grads[f"ffn_w1.{block}"] += merged.reshape(-1, k).T @ d_pre_flat
-                grads[f"ffn_b1.{block}"] += col_sums(d_pre_flat)
-                d_merged = (d_pre_flat @ w1.T).reshape(merged.shape)
+                grads[f"ffn_w2.{block}"] += tape.ffn_hidden[block] @ d_out.T
+                grads[f"ffn_b2.{block}"] += d_out.sum(axis=1)
+                d_pre = params[f"ffn_w2.{block}"] @ d_out
+                d_pre *= tape.ffn_pre[block] > 0.0  # relu backward
+                grads[f"ffn_w1.{block}"] += merged @ d_pre.T
+                grads[f"ffn_b1.{block}"] += d_pre.sum(axis=1)
+                d_merged = w1 @ d_pre
                 if not config.no_rc:
-                    d_merged = d_merged + d_out
+                    d_merged += d_out
             else:
-                grads[f"ffn_w1.{block}"] += merged.reshape(-1, k).T @ d_out_flat
-                d_merged = (d_out_flat @ w1.T).reshape(merged.shape)
+                grads[f"ffn_w1.{block}"] += merged @ d_out.T
+                d_merged = w1 @ d_out
+            d_merged = d_merged.reshape(k, f, B)
 
         d_cur = d_merged
         if config.has_tce:
             d_cur = d_merged * tape.context[block]
-            d_ce_flat = (d_merged * tape.stages[block]).reshape(B, -1)  # [B, f*k]
+            d_ce = np.multiply(d_merged, tape.stages[block], out=d_merged)
+            d_ce = d_ce.reshape(k * f, B)
             sa = config.agg_slot(block)
             sp = config.proj_slot(block)
-            proj = params[f"proj_w.{sp}"]
-            d_proj = d_ce_flat.T @ tape.agg_act[block]
-            grads[f"proj_w.{sp}"] += d_proj.reshape(proj.shape)
-            grads[f"proj_b.{sp}"] += col_sums(d_ce_flat).reshape(proj.shape[:2])
-            d_act = d_ce_flat @ proj.reshape(d_ce_flat.shape[1], -1)
-            d_agg_pre = np.where(tape.agg_pre[block] > 0.0, d_act, 0.0)
-            grads[f"agg_w.{sa}"] += d_agg_pre.T @ e0_flat
-            grads[f"agg_b.{sa}"] += col_sums(d_agg_pre)
-            d_e0_flat += d_agg_pre @ params[f"agg_w.{sa}"]
+            grads[f"proj_w.{sp}"].reshape(k * f, -1)[kf] += d_ce @ tape.agg_act[block].T
+            grads[f"proj_b.{sp}"].reshape(-1)[kf] += d_ce.sum(axis=1)
+            d_agg_pre = params[f"proj_w.{sp}"].reshape(k * f, -1)[kf].T @ d_ce
+            d_agg_pre *= tape.agg_pre[block] > 0.0
+            grads[f"agg_w.{sa}"][:, kf] += d_agg_pre @ e0_flat.T
+            grads[f"agg_b.{sa}"] += d_agg_pre.sum(axis=1)
+            d_e0_flat += params[f"agg_w.{sa}"][:, kf].T @ d_agg_pre
 
-    d_e0 = d_cur + d_e0_flat.reshape(B, config.n_fields, k)
-    for i in range(config.n_fields):
-        contrib = d_e0[:, i, :] * batch.values[:, i, None]
-        np.add.at(grads[f"embed.{i}"], batch.indices[:, i], contrib)
+    d_cur += d_e0_flat.reshape(k, f, B)
+    for i in range(f):
+        contrib = d_cur[:, i, :] * batch.values[:, i]
+        scatter_add(grads[f"embed.{i}"], batch.indices[:, i], contrib)
 
     if config.l2 > 0.0:
         objective = loss + config.l2 * l2_norm(params)

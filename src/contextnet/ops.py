@@ -20,44 +20,28 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 class LayerNormCache(NamedTuple):
-    x_hat: np.ndarray
-    inv_std: np.ndarray
-    gain: np.ndarray
-
-
-def row_sums(x2d: np.ndarray) -> np.ndarray:
-    """Sum over the last axis of a 2-d array via BLAS (fast for short rows)."""
-    return x2d @ np.ones(x2d.shape[1])
-
-
-def col_sums(x2d: np.ndarray) -> np.ndarray:
-    """Sum over the first axis of a 2-d array via BLAS."""
-    return np.ones(x2d.shape[0]) @ x2d
+    x_hat: np.ndarray  # the input's shape
+    inv_std: np.ndarray  # one per normalized vector, flat
+    gain: np.ndarray  # [k, 1]
 
 
 def layer_norm(
     x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5
 ) -> tuple[np.ndarray, LayerNormCache]:
-    """Normalize the last axis (biased variance), then apply gain and bias.
-
-    Works on any leading batch shape; returns the cache needed by
-    :func:`layer_norm_backward`.
+    """Normalize over the leading axis (biased variance), then apply gain
+    and bias: x is [k, ...], so a batch-last activation is reduced across k
+    contiguous rows. Returns the cache needed by :func:`layer_norm_backward`.
     """
     x = np.asarray(x, dtype=np.float64)
-    k = x.shape[-1]
-    x2 = x.reshape(-1, k)
-    mean = (row_sums(x2) / k)[:, None]
-    centered = x2 - mean
-    var = (row_sums(centered * centered) / k)[:, None]
-    inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = centered * inv_std
-    gain = np.asarray(gain, dtype=np.float64)
-    y = np.multiply(x_hat, gain.reshape(-1))
-    y += np.asarray(bias).reshape(-1)
-    y = y.reshape(x.shape)
-    return y, LayerNormCache(
-        x_hat.reshape(x.shape), inv_std.reshape(x.shape[:-1] + (1,)), gain
-    )
+    k = x.shape[0]
+    x2 = x.reshape(k, -1)
+    x_hat = x2 - x2.sum(axis=0) / k
+    inv_std = 1.0 / np.sqrt(np.einsum("ij,ij->j", x_hat, x_hat) / k + eps)
+    x_hat *= inv_std
+    gain = np.asarray(gain, dtype=np.float64).reshape(k, 1)
+    y = x_hat * gain
+    y += np.asarray(bias, dtype=np.float64).reshape(k, 1)
+    return y.reshape(x.shape), LayerNormCache(x_hat.reshape(x.shape), inv_std, gain)
 
 
 def layer_norm_backward(
@@ -65,26 +49,36 @@ def layer_norm_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact gradients of layer_norm: returns (dx, dgain, dbias).
 
-    dgain/dbias are reduced over all leading axes, matching a gain/bias
+    dgain/dbias are reduced over all trailing axes, matching a gain/bias
     shared across every normalized vector in the batch.
     """
     x_hat, inv_std, gain = cache
     dy = np.asarray(dy, dtype=np.float64)
     if dy.shape != x_hat.shape:
         raise ShapeError(f"layer_norm_backward shapes differ: {dy.shape} vs {x_hat.shape}")
-    k = x_hat.shape[-1]
-    dy2 = dy.reshape(-1, k)
-    xh2 = x_hat.reshape(-1, k)
-    is2 = inv_std.reshape(-1, 1)
-    dbias = col_sums(dy2)
-    dgain = col_sums(dy2 * xh2)
-    d_hat = dy2 * gain.reshape(-1)
-    dx = (is2 / k) * (
-        k * d_hat
-        - row_sums(d_hat)[:, None]
-        - xh2 * row_sums(d_hat * xh2)[:, None]
-    )
+    k = x_hat.shape[0]
+    dy2 = dy.reshape(k, -1)
+    xh2 = x_hat.reshape(k, -1)
+    dbias = dy2.sum(axis=1)
+    dgain = np.einsum("ij,ij->i", dy2, xh2)
+    d_hat = dy2 * gain
+    dx = xh2 * np.einsum("ij,ij->j", d_hat, xh2)
+    dx += d_hat.sum(axis=0)
+    d_hat *= k
+    dx = np.subtract(d_hat, dx, out=d_hat)
+    dx *= inv_std / k
     return dx.reshape(dy.shape), dgain, dbias
+
+
+def scatter_add(out: np.ndarray, idx: np.ndarray, cols: np.ndarray) -> None:
+    """out[idx[n]] += cols[:, n] for every n, as np.add.at(out, idx, cols.T):
+    one np.bincount per column of out adds each index's terms in order of n
+    from 0.0, so on a zeroed out the bytes are those of np.add.at."""
+    uniq, inv = np.unique(idx, return_inverse=True)
+    sums = np.empty((out.shape[1], uniq.size))
+    for c in range(out.shape[1]):
+        sums[c] = np.bincount(inv, weights=cols[c], minlength=uniq.size)
+    out[uniq] += sums.T
 
 
 def sigmoid(z):

@@ -69,6 +69,22 @@ class TrainHistory:
         return "\n".join(lines) + "\n"
 
 
+def calibration_warning(history: TrainHistory, val_labels: np.ndarray) -> str | None:
+    """A `warning:` line when the kept epoch's validation log loss is above
+    the label-entropy prior of the validation split, else None: epochs are
+    kept by AUC alone, so a kept model can be calibrated worse than scoring
+    every row at the base rate."""
+    kept = [e.val_logloss for e in history.epochs if e.epoch == history.best_epoch]
+    p = float(np.mean(val_labels))
+    prior = -(p * np.log(p) + (1.0 - p) * np.log1p(-p)) if 0.0 < p < 1.0 else 0.0
+    if not kept or not kept[0] > prior:
+        return None
+    return (
+        f"warning: kept epoch {history.best_epoch} has validation log loss "
+        f"{kept[0]:.6f}, above the label-entropy prior {prior:.6f} of the validation split"
+    )
+
+
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
 
 

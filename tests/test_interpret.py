@@ -151,7 +151,7 @@ class TestBlockDotProducts:
         inst = random_instance(Rng(20), CARDS)
         _, tape = predict(inst, params, CFG)
         mats = explain_instance(params, CFG, inst).correlations
-        embed_vectors = tape.stages[0][0]
+        embed_vectors = tape.stages[0][:, :, 0].T
         for i in range(3):
             # independent norm oracle: sum of squares via python loop
             want = sum(float(v) ** 2 for v in embed_vectors[i])

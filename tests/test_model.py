@@ -131,8 +131,8 @@ class TestEmbed:
             np.array([[1.0, 1.0, 1.0]]),
         )
         e = embed(batch, p, CFG)
-        assert np.array_equal(e[0, 0], p["embed.0"][2])
-        assert np.array_equal(e[0, 1], p["embed.1"][1])
+        assert np.array_equal(e[:, 0, 0], p["embed.0"][2])
+        assert np.array_equal(e[:, 1, 0], p["embed.1"][1])
 
     def test_hand_lookup_two_fields_with_values(self):
         config = ModelConfig(n_fields=2, embed_dim=2, n_blocks=0)
@@ -143,7 +143,7 @@ class TestEmbed:
             np.zeros(1), np.array([[1, 0]], dtype=np.int64), np.array([[1.0, 0.5]])
         )
         e = embed(batch, p, config)
-        assert e[0].tolist() == [[3.0, 4.0], [2.5, 3.0]]
+        assert e[:, :, 0].T.tolist() == [[3.0, 4.0], [2.5, 3.0]]
 
     def test_out_of_range_index_rejected(self):
         p = init_params(CFG, CARDS, seed=0)
@@ -176,7 +176,7 @@ class TestTceForward:
         p["proj_b.0"][...] = 0.0
         batch = EncodedDataset(np.zeros(1), np.array([[1]]), np.ones((1, 1)))
         _, tape = predict(batch, p, config)
-        assert tape.context[0][0, 0].tolist() == [1.0, 0.0]
+        assert tape.context[0][:, 0, 0].tolist() == [1.0, 0.0]
 
     def test_share_agg_blocks_share_preactivation(self):
         config = replace(CFG, sharing="agg")
@@ -196,7 +196,7 @@ class TestTceForward:
         for i in range(6):
             _, single = predict(batch.take([i]), p, CFG)
             assert np.allclose(
-                tape.context[1][i, 2], single.context[1][0, 2], atol=1e-15
+                tape.context[1][:, 2, i], single.context[1][:, 2, 0], atol=1e-15
             )
 
     def test_share_agg_identical_preactivation_across_blocks(self):
@@ -215,7 +215,7 @@ class TestBlockForward:
         p = randomized(init_params(config, CARDS, seed=0), 6)
         force_ones_context(p)
         _, tape = predict(random_batch(Rng(6), 3, CARDS), p, config)
-        assert np.array_equal(tape.context[0], np.ones((3, 3, 4)))
+        assert np.array_equal(tape.context[0], np.ones((4, 3, 3)))
         assert np.array_equal(tape.stages[1], tape.stages[0])
 
     def test_sffn_identity_weights_reduce_to_layer_norm(self):
@@ -230,8 +230,8 @@ class TestBlockForward:
         p["embed.1"][1] = e_prev[1]
         batch = EncodedDataset(np.zeros(1), np.array([[1, 1]]), np.ones((1, 2)))
         _, tape = predict(batch, p, config)
-        want, _ = layer_norm(e_prev, np.ones(2), np.zeros(2), eps=1e-5)
-        assert np.allclose(tape.stages[1][0], want, atol=1e-15)
+        want, _ = layer_norm(e_prev.T, np.ones(2), np.zeros(2), eps=1e-5)
+        assert np.allclose(tape.stages[1][:, :, 0], want, atol=1e-15)
 
     def test_pffn_residual_flag(self):
         config = replace(CFG, variant="pffn")
@@ -323,9 +323,10 @@ class TestPredict:
         p = randomized(init_params(CFG, CARDS, seed=7), 7)
         batch = random_batch(Rng(8), 4, CARDS)
         _, tape = predict(batch, p, CFG)
-        e0_flat = tape.stages[0].reshape(4, CFG.flat_dim)
+        e0_flat = tape.stages[0].reshape(CFG.flat_dim, 4)  # rows in [k, f] order
         for block in range(CFG.n_blocks):
-            want = e0_flat @ p[f"agg_w.{block}"].T + p[f"agg_b.{block}"]
+            agg_w = p[f"agg_w.{block}"].reshape(5, 3, 4).transpose(0, 2, 1)
+            want = agg_w.reshape(5, -1) @ e0_flat + p[f"agg_b.{block}"][:, None]
             assert np.array_equal(tape.agg_pre[block], want)
 
 
@@ -390,6 +391,78 @@ class TestScoringWithoutTape:
         data.values[[9000, 12000], 1] = [np.nan, np.inf]
         with pytest.raises(NonFiniteScore, match="scored row 9000:"):
             predict_scores(data, p, CFG)
+
+
+def einsum_forward(batch, p, config):
+    """The paper's forward pass written row-major on [B, f, k] with einsum,
+    independently of predict's batch-last layout: returns the stages
+    (embedding layer, then each block's output) and the scores."""
+    e0 = np.stack(
+        [p[f"embed.{i}"][batch.indices[:, i]] * batch.values[:, i, None]
+         for i in range(config.n_fields)],
+        axis=1,
+    )
+    stages = [e0]
+    for block in range(config.n_blocks):
+        e = stages[-1]
+        if config.has_tce:  # TCE: aggregate the embedding layer, project per field
+            sa, sp = config.agg_slot(block), config.proj_slot(block)
+            h = np.einsum("bm,tm->bt", e0.reshape(len(e0), -1), p[f"agg_w.{sa}"])
+            h = np.maximum(h + p[f"agg_b.{sa}"], 0.0)
+            ce = np.einsum("bt,fkt->bfk", h, p[f"proj_w.{sp}"]) + p[f"proj_b.{sp}"]
+            e = e * ce
+        if config.has_ffn:
+            w1 = p[f"ffn_w1.{block}"]
+            if config.variant == "pffn":
+                h = np.maximum(np.einsum("bfi,ij->bfj", e, w1) + p[f"ffn_b1.{block}"], 0.0)
+                out = np.einsum("bfi,ij->bfj", h, p[f"ffn_w2.{block}"]) + p[f"ffn_b2.{block}"]
+                e = out if config.no_rc else out + e
+            else:
+                e = np.einsum("bfi,ij->bfj", e, w1)
+            if config.has_ln:
+                mean = e.mean(axis=-1, keepdims=True)
+                var = ((e - mean) ** 2).mean(axis=-1, keepdims=True)
+                e = (e - mean) / np.sqrt(var + 1e-5)
+                e = e * p[f"ln_gain.{block}"] + p[f"ln_bias.{block}"]
+        stages.append(e)
+    logits = np.einsum("bm,m->b", stages[-1].reshape(len(e0), -1), p["head_w"])
+    return stages, sigmoid(logits + p["head_b"][0])
+
+
+class TestForwardOracle:
+    """predict's scores and every stage against einsum_forward."""
+
+    @pytest.mark.parametrize("config", NO_TAPE_CONFIGS, ids=repr)
+    def test_matches_einsum_forward(self, config):
+        p = randomized(init_params(config, CARDS, seed=23), 24)
+        batch = random_batch(Rng(25), 300, CARDS)
+        batch.values[:, 1] = Rng(26).normal((300,))  # a numerical-style field
+        scores, tape = predict(batch, p, config)
+        stages, want = einsum_forward(batch, p, config)
+        assert np.abs(scores - want).max() <= 1e-12
+        assert len(tape.stages) == len(stages)
+        for got, ref in zip(tape.stages, stages):
+            assert np.abs(got.transpose(2, 1, 0) - ref).max() <= 1e-12
+
+
+class TestTrainingMemory:
+    @pytest.mark.parametrize("variant, limit", [("sffn", 23.3), ("pffn", 31.3)])
+    def test_peak_of_one_step(self, variant, limit):
+        """Peak traced memory of one loss_and_grads at the ML-1m shape
+        (B=1024, 7 fields, k=10, t=20, 3 blocks), in [1024, 7, 10] float64
+        activations; the limits are those of the row-major code."""
+        cards = [2, 7, 21, 500, 800, 18, 81]
+        config = ModelConfig(n_fields=7, variant=variant)
+        p = randomized(init_params(config, cards, seed=27), 28)
+        batch = random_batch(Rng(29), 1024, cards)
+        activation = 1024 * config.flat_dim * 8
+        tracemalloc.start()
+        try:
+            loss_and_grads(batch, p, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit * activation, peak / activation
 
 
 class TestHadamardIdentity:

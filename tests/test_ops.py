@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from contextnet.ops import (
     logit,
     mix_seed,
     relu,
+    scatter_add,
     sigmoid,
 )
 
@@ -35,10 +37,10 @@ class TestLayerNorm:
 
     def test_output_moments(self):
         rng = Rng(3)
-        x = rng.normal((50, 16))
+        x = rng.normal((16, 50))
         y, _ = layer_norm(x, np.ones(16), np.zeros(16), eps=1e-5)
-        assert np.abs(y.mean(axis=-1)).max() < 1e-10
-        assert np.abs(y.var(axis=-1) - 1.0).max() < 1e-4
+        assert np.abs(y.mean(axis=0)).max() < 1e-10
+        assert np.abs(y.var(axis=0) - 1.0).max() < 1e-4
 
     def test_backward_zero_dy(self):
         y, cache = layer_norm(Rng(4).normal((6,)), np.ones(6), np.zeros(6))
@@ -92,6 +94,35 @@ class TestLayerNorm:
         x = Rng(seed).normal((k,), scale=2.0)
         y, _ = layer_norm(x, np.ones(k), np.zeros(k))
         assert abs(y.mean()) < 1e-10
+
+
+class TestScatterAdd:
+    """scatter_add gives the bytes of np.add.at on a zeroed table."""
+
+    @pytest.mark.parametrize(
+        "rows, n, zipf",
+        [(1, 300, False), (7, 1000, False), (800, 1024, True), (16_000, 1024, True)],
+    )
+    def test_bytes_equal_add_at(self, rows, n, zipf):
+        rng = np.random.default_rng(rows)
+        if zipf:  # heavy repeats of the small indices, a long tail of singletons
+            idx = (rng.zipf(1.3, n) - 1) % rows
+        else:
+            idx = rng.integers(0, rows, n)
+        cols = rng.normal(size=(6, n)) * rng.lognormal(size=n)
+        got = np.zeros((rows, 6))
+        scatter_add(got, idx, cols)
+        want = np.zeros((rows, 6))
+        np.add.at(want, idx, cols.T)
+        assert got.tobytes() == want.tobytes()
+
+    def test_repeats_sum_in_order(self):
+        out = np.zeros((3, 1))
+        scatter_add(out, np.array([2, 0, 2, 2]), np.array([[1e16, 5.0, 1.0, -1e16]]))
+        want = np.zeros((3, 1))
+        np.add.at(want, np.array([2, 0, 2, 2]), np.array([[1e16, 5.0, 1.0, -1e16]]).T)
+        assert out.tobytes() == want.tobytes()
+        assert out[:, 0].tolist() == [5.0, 0.0, 0.0]  # 1e16 + 1 rounds to 1e16
 
 
 class TestSigmoid:

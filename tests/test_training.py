@@ -8,9 +8,12 @@ from contextnet.model import ModelConfig, init_params, predict_scores
 from contextnet.ops import Rng
 from contextnet.training import (
     AdamState,
+    EpochStats,
     TrainConfig,
+    TrainHistory,
     TrainingDiverged,
     adam_step,
+    calibration_warning,
     init_adam,
     train,
 )
@@ -183,6 +186,56 @@ class TestTrainLoop:
         assert lines[0] == "epoch\ttrain_loss\tval_auc\tval_logloss\tseconds"
         assert len(lines) == 3
         assert all(len(line.split("\t")) == 5 for line in lines[1:])
+
+
+class TestCalibrationWarning:
+    """The prior of labels with positive rate 1/4 is 0.562335..."""
+
+    LABELS = np.array([1.0, 0.0, 0.0, 0.0])
+
+    @staticmethod
+    def history(val_loglosses, best_epoch):
+        epochs = [EpochStats(i, 0.5, 0.7, ll, 1.0) for i, ll in enumerate(val_loglosses)]
+        return TrainHistory(epochs, best_epoch, 0.7)
+
+    def test_kept_epoch_above_prior_warns(self):
+        line = calibration_warning(self.history([0.55, 0.60], 1), self.LABELS)
+        assert line == (
+            "warning: kept epoch 1 has validation log loss 0.600000, above the "
+            "label-entropy prior 0.562335 of the validation split"
+        )
+
+    def test_kept_epoch_below_prior_is_silent(self):
+        # a later epoch above the prior does not matter: it was not kept
+        assert calibration_warning(self.history([0.55, 0.60], 0), self.LABELS) is None
+
+    def test_no_kept_epoch_is_silent(self):
+        assert calibration_warning(TrainHistory(), self.LABELS) is None
+
+    def test_train_command_prints_it_on_stderr_only(self, tmp_path, capsys, monkeypatch):
+        """The line goes to stderr; stdout stays the same."""
+        from contextnet import cli
+
+        ds = _linearly_separable(400, seed=14)
+        (tmp_path / "schema.tsv").write_text("a\tcat\nb\tcat\n")
+        (tmp_path / "data.tsv").write_text(
+            "".join(
+                f"{int(y)}\tt{i}\tu{j}\n"
+                for y, (i, j) in zip(ds.labels, ds.indices.tolist())
+            )
+        )
+        argv = ["train", "--data", str(tmp_path / "data.tsv"), "--schema",
+                str(tmp_path / "schema.tsv"), "--out", str(tmp_path / "run"),
+                "--epochs", "1", "--blocks", "1", "--batch-size", "64"]
+        monkeypatch.setattr(cli, "calibration_warning", lambda h, y: None)
+        assert cli.main(argv) == 0
+        quiet = capsys.readouterr()
+        assert quiet.err == ""
+        monkeypatch.setattr(cli, "calibration_warning", lambda h, y: "warning: x")
+        assert cli.main(argv) == 0
+        loud = capsys.readouterr()
+        assert loud.err == "warning: x\n"
+        assert loud.out == quiet.out
 
 
 class TestTrainConfig:
