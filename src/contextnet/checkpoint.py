@@ -1,20 +1,16 @@
-"""Versioned binary model checkpoints with a human-readable sidecar manifest.
+"""Versioned binary model checkpoints.
 
 Layout: 8-byte magic, uint32 version, uint32 header length, JSON header
 (model config, per-field cardinalities, field names/kinds, training seed,
 tensor names and shapes), then the tensors as little-endian float64 in
-param_shapes order. The sidecar `<path>.manifest` lists tensor shapes and
-checksums plus a creation timestamp; the binary file itself is byte-stable
-for identical parameters.
+param_shapes order. The file is byte-stable for identical parameters.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import struct
 from dataclasses import asdict
-from datetime import datetime, timezone
 
 import numpy as np
 
@@ -45,31 +41,20 @@ def save_checkpoint(
         "tensors": [[name, list(arr.shape)] for name, arr in params.items()],
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    manifest_lines = [f"checkpoint-manifest\t{VERSION}"]
-    manifest_lines.append(f"created\t{datetime.now(timezone.utc).isoformat()}")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(header_bytes)))
         fh.write(header_bytes)
-        for name, arr in params.items():
-            blob = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-            fh.write(blob)
-            digest = hashlib.sha256(blob).hexdigest()
-            shape = "x".join(map(str, arr.shape)) or "scalar"
-            manifest_lines.append(f"tensor\t{name}\t{shape}\t{digest}")
-    with open(path + ".manifest", "w", encoding="utf-8") as fh:
-        fh.write("\n".join(manifest_lines) + "\n")
+        for arr in params.values():
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path: str) -> tuple[Params, ModelConfig, dict]:
     """Read a checkpoint whose header holds an integer seed, one [name, kind]
     pair per field and exactly the tensors its config and cardinalities call
-    for, with all values finite; any malformed file raises CheckpointError."""
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise CheckpointError(f"cannot open checkpoint {path}: {exc}") from None
-    with fh:
+    for, with all values finite; any malformed file raises CheckpointError
+    (a file that cannot be opened or read raises OSError)."""
+    with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise CheckpointError(f"{path}: bad checkpoint magic {magic!r}")

@@ -2,13 +2,14 @@
 
 Options come from CLI flags, an optional flat `key = value` config file, and
 built-in defaults, in that precedence order. Unknown config keys are
-rejected. Exit codes: 0 success, 2 usage/config error, 3 data or checkpoint
-error, 4 numerical failure.
+rejected. Exit codes: 0 success, 2 usage/config error or a path that cannot
+be opened, read or written, 3 data or checkpoint error, 4 numerical failure.
 """
 from __future__ import annotations
 
 import argparse
 import ctypes
+import math
 import os
 import sys
 from itertools import zip_longest
@@ -29,22 +30,19 @@ EXIT_NUMERIC = 4
 
 
 class ConfigError(ValueError):
-    """Bad option value, unknown config key, or missing input path."""
+    """Bad option value or unknown config key."""
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            out[key.strip().replace("-", "_")] = value.strip()
+    for lineno, line in dt.text_lines(path, ConfigError):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        out[key.strip().replace("-", "_")] = value.strip()
     return out
 
 
@@ -150,11 +148,6 @@ def resolve_options(args: argparse.Namespace) -> dict:
     return merged
 
 
-def _require_file(path: str, what: str) -> None:
-    if not os.path.exists(path):
-        raise ConfigError(f"{what} not found: {path}")
-
-
 def _model_config(opts: dict, n_fields: int) -> ModelConfig:
     ablate = {a.strip() for a in opts["ablate"].split(",") if a.strip()}
     unknown = ablate - {"tce", "ffn", "ln", "rc"}
@@ -190,9 +183,11 @@ def cmd_train(opts: dict) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    _require_file(opts["data"], "data file")
-    _require_file(opts["schema"], "schema file")
+    out_dir = opts["out"]
+    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        raise ConfigError(f"--out {out_dir} exists and is not a directory")
     schema = dt.load_schema(opts["schema"])
+    config = _model_config(opts, len(schema))
     columns = dt.load_records(opts["data"], schema)
     splits = dt.split_indices(len(columns[0]), opts["seed"])
     vocab = dt.build_vocabulary(columns, schema, splits[0], opts["min_count"])
@@ -202,7 +197,6 @@ def cmd_train(opts: dict) -> int:
     del columns, dataset  # neither is needed during training
     test_set.require_both_classes("the test split")
 
-    config = _model_config(opts, len(schema))
     params = init_params(
         config, cards, opts["seed"], pos_rate=float(train_set.labels.mean())
     )
@@ -215,7 +209,6 @@ def cmd_train(opts: dict) -> int:
     test_auc = auc(test_scores, test_set.labels)
     test_ll = logloss(test_scores, test_set.labels)
 
-    out_dir = opts["out"]
     os.makedirs(out_dir, exist_ok=True)
     ckpt.save_checkpoint(
         os.path.join(out_dir, "checkpoint.bin"),
@@ -239,13 +232,6 @@ def cmd_train(opts: dict) -> int:
 
 
 def _load_model_inputs(opts: dict):
-    for key, what in (
-        ("checkpoint", "checkpoint file"),
-        ("vocab", "vocabulary file"),
-        ("schema", "schema file"),
-        ("data", "data file"),
-    ):
-        _require_file(opts[key], what)
     params, config, header = ckpt.load_checkpoint(opts["checkpoint"])
     schema = dt.load_schema(opts["schema"])
     vocab = dt.load_vocabulary(opts["vocab"])
@@ -289,6 +275,11 @@ def cmd_evaluate(opts: dict) -> int:
 def cmd_explain(opts: dict) -> int:
     if (opts["instance"] is None) == (opts["corpus"] is None):
         raise ConfigError("pass exactly one of --instance or --corpus")
+    mode = opts["corpus"]
+    if mode not in (None, itp.IMPORTANCE_SUM, itp.IMPORTANCE_NORM):
+        raise ConfigError(f"unknown corpus mode {mode!r}")
+    if not 0.0 <= opts["alpha"] < math.inf:
+        raise ConfigError(f"alpha must be finite and >= 0, got {opts['alpha']}")
     params, config, header, schema, vocab, dataset = _load_model_inputs(opts)
     lines = []
     if opts["instance"] is not None:
@@ -311,9 +302,6 @@ def cmd_explain(opts: dict) -> int:
             for row in mat:
                 lines.append("\t".join(f"{v:+.6f}" for v in row))
     else:
-        mode = opts["corpus"]
-        if mode not in (itp.IMPORTANCE_SUM, itp.IMPORTANCE_NORM):
-            raise ConfigError(f"unknown corpus mode {mode!r}")
         rows = itp.corpus_feature_importance(
             params, config, dataset, schema, vocab, mode=mode, alpha=opts["alpha"]
         )
@@ -368,7 +356,7 @@ def main(argv=None) -> int:
     try:
         opts = resolve_options(args)
         return _HANDLERS[args.command](opts)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # an OSError names its path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (dt.DataError, ckpt.CheckpointError) as exc:

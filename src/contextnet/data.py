@@ -4,6 +4,7 @@ Input data is header-less tab-separated text: column 0 is the binary label,
 the remaining columns follow the schema file order. An empty string means a
 missing value. A file is read and encoded column by column, once; splits are
 index arrays into it. Vocabularies are built from the training rows only.
+Schema, data and vocabulary files are UTF-8 text, read by text_lines.
 Errors name a record by its 0-based row in the file.
 """
 from __future__ import annotations
@@ -50,17 +51,27 @@ def make_schema(fields: list[tuple[str, str]]) -> list[FieldSchema]:
     return schema
 
 
+def text_lines(path: str, error: type[Exception] = DataError):
+    """Yield (line number, line) for each non-empty line of a UTF-8 text
+    file, without its newline. A byte sequence that is not UTF-8 raises
+    `error` naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if line:
+                    yield lineno, line
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_schema(path: str) -> list[FieldSchema]:
     pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected 'name<TAB>kind'")
-            pairs.append((parts[0], parts[1]))
+    for lineno, line in text_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise DataError(f"{path}:{lineno}: expected 'name<TAB>kind'")
+        pairs.append((parts[0], parts[1]))
     if not pairs:
         raise DataError(f"{path}: empty schema file")
     return make_schema(pairs)
@@ -250,17 +261,11 @@ def load_records(path: str, schema: list[FieldSchema]) -> list[list[str]]:
     """
     want = len(schema) + 1
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != want:
-                raise DataError(
-                    f"{path}:{lineno}: expected {want} columns, got {len(cols)}"
-                )
-            records.append(cols)
+    for lineno, line in text_lines(path):
+        cols = line.split("\t")
+        if len(cols) != want:
+            raise DataError(f"{path}:{lineno}: expected {want} columns, got {len(cols)}")
+        records.append(cols)
     if not records:
         raise DataError(f"{path}: no records")
     return [[cols[i] for cols in records] for i in range(want)]
@@ -284,35 +289,32 @@ def save_vocabulary(vocab: Vocabulary, path: str) -> None:
 
 def load_vocabulary(path: str) -> Vocabulary:
     vocab = Vocabulary()
-    with open(path, "r", encoding="utf-8") as fh:
-        if fh.readline().rstrip("\n") != f"{_VOCAB_MAGIC}\t{_VOCAB_VERSION}":
-            raise DataError(f"{path}: not a version-{_VOCAB_VERSION} vocabulary file")
-        section = None
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
+    lines = text_lines(path)
+    if next(lines, (1, ""))[1] != f"{_VOCAB_MAGIC}\t{_VOCAB_VERSION}":
+        raise DataError(f"{path}: not a version-{_VOCAB_VERSION} vocabulary file")
+    section = None
+    for lineno, line in lines:
+        if line.startswith("#"):
+            section = line
+            continue
+        parts = line.split("\t")
+        if section not in ("#tokens", "#numeric-stats"):
+            raise DataError(f"{path}:{lineno}: line outside a known section")
+        if len(parts) != 3:
+            raise DataError(f"{path}:{lineno}: expected 3 columns, got {len(parts)}")
+        try:
+            if section == "#tokens":
+                vocab.tokens.setdefault(parts[0], {})[parts[1]] = int(parts[2])
                 continue
-            if line.startswith("#"):
-                section = line
-                continue
-            parts = line.split("\t")
-            if section not in ("#tokens", "#numeric-stats"):
-                raise DataError(f"{path}:{lineno}: line outside a known section")
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 columns, got {len(parts)}")
-            try:
-                if section == "#tokens":
-                    vocab.tokens.setdefault(parts[0], {})[parts[1]] = int(parts[2])
-                    continue
-                mean, std = float(parts[1]), float(parts[2])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: malformed number") from None
-            if not (np.isfinite(mean) and 0.0 <= std < np.inf):
-                raise DataError(
-                    f"{path}:{lineno}: field {parts[0]!r}: mean {mean} and std {std} "
-                    "must be finite, and std >= 0"
-                )
-            vocab.numeric_stats[parts[0]] = (mean, std)
+            mean, std = float(parts[1]), float(parts[2])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: malformed number") from None
+        if not (np.isfinite(mean) and 0.0 <= std < np.inf):
+            raise DataError(
+                f"{path}:{lineno}: field {parts[0]!r}: mean {mean} and std {std} "
+                "must be finite, and std >= 0"
+            )
+        vocab.numeric_stats[parts[0]] = (mean, std)
     for fname, mapping in vocab.tokens.items():
         if sorted(mapping.values()) != list(range(1, len(mapping) + 1)):
             raise DataError(

@@ -3,9 +3,10 @@ one taped forward pass, and corpus-level feature importance scored in chunks
 without a tape.
 
 The prediction head is a logistic regression over the last block's output,
-so each field's signed contribution to the logit is the dot product of its
-final embedding with the matching slice of the head weights; those
-contributions plus the intercept reconstruct the logit exactly.
+so each field's signed contribution to the logit (model.field_weights) is
+the dot product of its final embedding with the matching slice of the head
+weights; those contributions plus the intercept reconstruct the logit
+exactly.
 """
 from __future__ import annotations
 
@@ -13,8 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from contextnet.data import EncodedDataset, FieldSchema, NUMERICAL, Vocabulary
-from contextnet.model import ModelConfig, Params, predict, require_finite
+from contextnet.data import EncodedDataset, FieldSchema, Vocabulary
+from contextnet.model import (
+    ModelConfig,
+    Params,
+    field_weights,
+    predict,
+    require_finite,
+    score_chunks,
+)
 
 IMPORTANCE_SUM = "sum"
 IMPORTANCE_NORM = "norm"
@@ -37,13 +45,6 @@ class ImportanceRow:
     score: float
 
 
-def _field_weights(final: np.ndarray, params: Params, config: ModelConfig):
-    """Signed per-field logit contributions of a batch-last [k, f, B] final
-    stage: [f, B]."""
-    w = params["head_w"].reshape(config.n_fields, config.embed_dim)
-    return np.einsum("kfb,fk->fb", final, w)
-
-
 def explain_instance(
     params: Params, config: ModelConfig, instance: EncodedDataset, row: int = 0
 ) -> InstanceReport:
@@ -62,7 +63,7 @@ def explain_instance(
         g = stage[:, :, 0].T @ stage[:, :, 0]
         correlations.append(np.triu(g) + np.triu(g, 1).T)  # exactly symmetric
     return InstanceReport(
-        weights=_field_weights(tape.stages[-1], params, config)[:, 0],
+        weights=field_weights(tape.stages[-1], params, config)[:, 0],
         intercept=float(params["head_b"][0]),
         logit=float(tape.logits[0]),
         score=float(scores[0]),
@@ -74,11 +75,10 @@ def corpus_feature_importance(
     params: Params,
     config: ModelConfig,
     dataset: EncodedDataset,
-    schema: list[FieldSchema] | None = None,
-    vocab: Vocabulary | None = None,
+    schema: list[FieldSchema],
+    vocab: Vocabulary,
     mode: str = IMPORTANCE_NORM,
     alpha: float = 10.0,
-    chunk: int = 4096,
 ) -> list[ImportanceRow]:
     """Aggregate |per-field weight| per feature value over a dataset.
 
@@ -87,25 +87,17 @@ def corpus_feature_importance(
     damping rare features. Numerical fields aggregate under one per-field
     key. Rows are sorted by descending score; feature values absent from
     the dataset are not listed.
-    Chunks are scored without a tape; a non-finite logit raises
-    NonFiniteScore.
+    Chunks are scored without a tape (model.score_chunks); a non-finite
+    logit raises NonFiniteScore.
     """
     if mode not in (IMPORTANCE_SUM, IMPORTANCE_NORM):
         raise ValueError(f"unknown importance mode {mode!r}")
-    n_fields = config.n_fields
-    fw_abs = np.empty((n_fields, len(dataset)))
-    for start in range(0, len(dataset), chunk):
-        batch = dataset.take(slice(start, start + chunk))
-        _, tape = predict(batch, params, config, keep_tape=False)
-        require_finite(tape, start)
-        fw = _field_weights(tape.stages[-1], params, config)
-        np.abs(fw, out=fw_abs[:, start : start + chunk])
+    fw_abs = np.empty((config.n_fields, len(dataset)))
+    for rows, tape in score_chunks(dataset, params, config):
+        np.abs(field_weights(tape.stages[-1], params, config), out=fw_abs[:, rows])
 
-    rows = []
-    for i in range(n_fields):
-        fname = schema[i].name if schema else f"field_{i}"
-        card = params[f"embed.{i}"].shape[0]
-        numeric = schema[i].kind == NUMERICAL if schema else card == 1
+    out = []
+    for i, f in enumerate(schema):
         # per feature value (a numerical field has one), its rows' terms
         # summed in row order from 0.0
         present, inverse = np.unique(dataset.indices[:, i], return_inverse=True)
@@ -113,11 +105,6 @@ def corpus_feature_importance(
         sums = np.bincount(inverse, weights=fw_abs[i], minlength=present.size)
         for idx, n, total in zip(present.tolist(), counts.tolist(), sums.tolist()):
             score = total if mode == IMPORTANCE_SUM else total / (n + alpha)
-            if numeric:
-                token = "<numeric>"
-            else:
-                token = vocab.token_of(fname, idx) if vocab else f"#{idx}"
-            rows.append(ImportanceRow(fname, token, n, score))
-    rows.sort(key=lambda r: (-r.score, r.field, r.token))
-    return rows
-
+            out.append(ImportanceRow(f.name, vocab.token_of(f.name, idx), n, score))
+    out.sort(key=lambda r: (-r.score, r.field, r.token))
+    return out

@@ -3,14 +3,16 @@
 Parameters are one ordered mapping from tensor name to array; param_shapes
 gives the names and their order. Only training keeps a tape: its forward
 pass keeps every intermediate needed by the hand-written backward pass in a
-TapeCache, while scoring keeps just the last stage. Parameter sharing
-across blocks is realized by storing shared tensors once and resolving
-block -> storage slot, so gradients of shared tensors accumulate additively.
+TapeCache, while scoring (score_chunks, SCORE_CHUNK rows at a time) keeps
+just the last stage. Parameter sharing across blocks is realized by storing
+shared tensors once and resolving block -> storage slot, so gradients of
+shared tensors accumulate additively.
 
 Activations are batch-last: a block maps [k, f, B] -> [k, f, B], so every
 broadcast and reduction runs over rows of B contiguous values and the FFN
 is one GEMM over [k, f*B]. The head is a logistic regression over the
-[k*f, B] output of the last block. Parameters keep their checkpoint layout
+[k*f, B] output of the last block, so field_weights splits each logit
+exactly into per-field terms. Parameters keep their checkpoint layout
 (embeddings are length-k rows, flat axes in (f, k) order); the passes read
 agg_w, proj_w, proj_b and head_w through a (k, f) reordering of that axis.
 """
@@ -29,7 +31,6 @@ from contextnet.ops import (
     layer_norm_backward,
     logit,
     mix_seed,
-    relu,
     scatter_add,
     sigmoid,
 )
@@ -43,6 +44,7 @@ SHARE_AGG_PROJ = "agg-proj"
 
 LN_EPS = 1e-5
 _INIT_SALT = 0x1217
+SCORE_CHUNK = 4096  # rows per tape-free scoring pass
 
 # tensor name -> array, in param_shapes order
 Params = dict[str, np.ndarray]
@@ -84,8 +86,8 @@ class ModelConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.sharing not in (SHARE_NOTHING, SHARE_AGG, SHARE_AGG_PROJ):
             raise ValueError(f"unknown sharing strategy {self.sharing!r}")
-        if self.l2 < 0:
-            raise ValueError("l2 must be >= 0")
+        if not 0.0 <= self.l2 < float("inf"):
+            raise ValueError(f"l2 must be finite and >= 0, got {self.l2}")
 
     @property
     def flat_dim(self) -> int:
@@ -217,12 +219,10 @@ class TapeCache:
 
     stages: list  # [e0 .. eL]: embedding layer, then block outputs, [k, f, B]
     # per block, None where the configuration lacks the component:
-    agg_pre: list = field(default_factory=list)  # [t, B] aggregation pre-activation
-    agg_act: list = field(default_factory=list)  # [t, B]
+    agg_act: list = field(default_factory=list)  # [t, B] aggregation, after relu
     context: list = field(default_factory=list)  # [k, f, B] contextual embeddings
     merged: list = field(default_factory=list)  # [k, f, B] Hadamard-merged
-    ffn_pre: list = field(default_factory=list)  # pffn pre-activation, [k, f*B]
-    ffn_hidden: list = field(default_factory=list)  # pffn hidden, [k, f*B]
+    ffn_hidden: list = field(default_factory=list)  # pffn hidden, after relu, [k, f*B]
     ln: list = field(default_factory=list)  # LayerNormCache over [k, f, B]
     logits: np.ndarray = None  # [B]
     scores: np.ndarray = None  # [B]
@@ -271,14 +271,14 @@ def predict(
     e_cur = e0
     for block in range(config.n_blocks):
         # views (flat, out) pin their base arrays, so they are reset too
-        agg_pre = agg_act = ce = pre = hidden = ln_cache = flat = out = None
+        agg_act = ce = hidden = ln_cache = flat = out = None
         merged = e_cur
         if config.has_tce:
             sa = config.agg_slot(block)
             sp = config.proj_slot(block)
-            agg_pre = params[f"agg_w.{sa}"][:, kf] @ e0_flat
-            agg_pre += params[f"agg_b.{sa}"][:, None]
-            agg_act = relu(agg_pre)
+            agg_act = params[f"agg_w.{sa}"][:, kf] @ e0_flat
+            agg_act += params[f"agg_b.{sa}"][:, None]
+            np.maximum(agg_act, 0.0, out=agg_act)
             ce = params[f"proj_w.{sp}"].reshape(k * f, -1)[kf] @ agg_act
             ce += params[f"proj_b.{sp}"].reshape(-1, 1)[kf]
             ce = ce.reshape(k, f, B)
@@ -288,9 +288,9 @@ def predict(
             flat = merged.reshape(k, f * B)
             w1 = params[f"ffn_w1.{block}"]
             if config.variant == PFFN:
-                pre = w1.T @ flat
-                pre += params[f"ffn_b1.{block}"][:, None]
-                hidden = relu(pre)
+                hidden = w1.T @ flat
+                hidden += params[f"ffn_b1.{block}"][:, None]
+                np.maximum(hidden, 0.0, out=hidden)
                 out = params[f"ffn_w2.{block}"].T @ hidden
                 out += params[f"ffn_b2.{block}"][:, None]
                 if not config.no_rc:
@@ -300,16 +300,14 @@ def predict(
             e_next = out.reshape(k, f, B)
             if config.has_ln:
                 if not keep_tape:  # nothing reads these again
-                    e_cur = ce = merged = flat = pre = hidden = None
+                    e_cur = ce = merged = flat = hidden = None
                 e_next, ln_cache = layer_norm(
                     e_next, params[f"ln_gain.{block}"], params[f"ln_bias.{block}"], LN_EPS
                 )
         if keep_tape:
-            tape.agg_pre.append(agg_pre)
             tape.agg_act.append(agg_act)
             tape.context.append(ce)
             tape.merged.append(merged)
-            tape.ffn_pre.append(pre)
             tape.ffn_hidden.append(hidden)
             tape.ln.append(ln_cache)
             tape.stages.append(e_next)
@@ -319,6 +317,13 @@ def predict(
     tape.logits = params["head_w"][kf] @ e_cur.reshape(k * f, B) + params["head_b"][0]
     tape.scores = sigmoid(tape.logits)
     return tape.scores, tape
+
+
+def field_weights(final: np.ndarray, params: Params, config: ModelConfig):
+    """Signed per-field logit contributions of a batch-last [k, f, B] final
+    stage: [f, B]. With head_b they sum to the logit."""
+    w = params["head_w"].reshape(config.n_fields, config.embed_dim)
+    return np.einsum("kfb,fk->fb", final, w)
 
 
 def require_finite(tape: TapeCache, first_row: int) -> None:
@@ -331,17 +336,22 @@ def require_finite(tape: TapeCache, first_row: int) -> None:
         )
 
 
-def predict_scores(
-    dataset: EncodedDataset, params: Params, config: ModelConfig, chunk: int = 8192
-) -> np.ndarray:
-    """Score a dataset in fixed-order chunks, each a forward pass without a
-    tape, so memory is bounded by the chunk, not the dataset. A non-finite
-    logit raises NonFiniteScore."""
-    out = np.empty(len(dataset))
-    for start in range(0, len(dataset), chunk):
-        rows = slice(start, start + chunk)
+def score_chunks(dataset: EncodedDataset, params: Params, config: ModelConfig):
+    """Yield (rows, tape) for each SCORE_CHUNK-row slice of a dataset, in
+    order, each scored by a forward pass without a tape, so memory is
+    bounded by the chunk, not the dataset. A non-finite logit raises
+    NonFiniteScore."""
+    for start in range(0, len(dataset), SCORE_CHUNK):
+        rows = slice(start, start + SCORE_CHUNK)
         _, tape = predict(dataset.take(rows), params, config, keep_tape=False)
         require_finite(tape, start)
+        yield rows, tape
+
+
+def predict_scores(dataset: EncodedDataset, params: Params, config: ModelConfig) -> np.ndarray:
+    """Scores of every row of a dataset, chunk by chunk (score_chunks)."""
+    out = np.empty(len(dataset))
+    for rows, tape in score_chunks(dataset, params, config):
         out[rows] = tape.scores
     return out
 
@@ -391,7 +401,8 @@ def loss_and_grads(
                 grads[f"ffn_w2.{block}"] += tape.ffn_hidden[block] @ d_out.T
                 grads[f"ffn_b2.{block}"] += d_out.sum(axis=1)
                 d_pre = params[f"ffn_w2.{block}"] @ d_out
-                d_pre *= tape.ffn_pre[block] > 0.0  # relu backward
+                # relu backward: its output is > 0 exactly where its input is
+                d_pre *= tape.ffn_hidden[block] > 0.0
                 grads[f"ffn_w1.{block}"] += merged @ d_pre.T
                 grads[f"ffn_b1.{block}"] += d_pre.sum(axis=1)
                 d_merged = w1 @ d_pre
@@ -412,7 +423,7 @@ def loss_and_grads(
             grads[f"proj_w.{sp}"].reshape(k * f, -1)[kf] += d_ce @ tape.agg_act[block].T
             grads[f"proj_b.{sp}"].reshape(-1)[kf] += d_ce.sum(axis=1)
             d_agg_pre = params[f"proj_w.{sp}"].reshape(k * f, -1)[kf].T @ d_ce
-            d_agg_pre *= tape.agg_pre[block] > 0.0
+            d_agg_pre *= tape.agg_act[block] > 0.0
             grads[f"agg_w.{sa}"][:, kf] += d_agg_pre @ e0_flat.T
             grads[f"agg_b.{sa}"] += d_agg_pre.sum(axis=1)
             d_e0_flat += params[f"agg_w.{sa}"][:, kf].T @ d_agg_pre

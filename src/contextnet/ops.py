@@ -15,10 +15,6 @@ class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested kernel."""
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
 class LayerNormCache(NamedTuple):
     x_hat: np.ndarray  # the input's shape
     inv_std: np.ndarray  # one per normalized vector, flat

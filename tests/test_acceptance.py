@@ -491,20 +491,14 @@ def test_criterion_11_cli_determinism(tmp_path):
         assert a == b, f"{name} differs between identical runs"
         identical.append(name)
 
-    # history matches except the wall-clock column; manifest except timestamp
+    # history matches except the wall-clock column
     def history_rows(path):
         lines = open(os.path.join(path, "history.tsv")).read().strip().split("\n")
         return [line.rsplit("\t", 1)[0] for line in lines]
 
     assert history_rows(outs[0]) == history_rows(outs[1])
-
-    def manifest_rows(path):
-        lines = open(os.path.join(path, "checkpoint.bin.manifest")).read().split("\n")
-        return [line for line in lines if not line.startswith("created")]
-
-    assert manifest_rows(outs[0]) == manifest_rows(outs[1])
     _report(
         11,
-        f"byte-identical {', '.join(identical)}; history and manifest identical "
-        "outside wall-clock fields",
+        f"byte-identical {', '.join(identical)}; history identical outside its "
+        "wall-clock column",
     )

@@ -1,4 +1,5 @@
 """End-to-end command-line tests over tiny datasets."""
+import errno
 import json
 import os
 import struct
@@ -9,12 +10,12 @@ import numpy as np
 import pytest
 
 import contextnet
-from contextnet import interpret
+from contextnet import interpret, model
 from contextnet.checkpoint import load_checkpoint, save_checkpoint
 from contextnet.cli import main
 from contextnet.data import split_indices
 from contextnet.metrics import rela_imp
-from contextnet.model import predict
+from contextnet.model import SCORE_CHUNK, predict
 from contextnet.ops import logit
 from synth import SynthSpec, generate, write_dataset
 
@@ -134,9 +135,9 @@ def read_metrics(path):
 
 class TestTrainCommand:
     def test_outputs_exist(self, run_dir):
-        for name in ("checkpoint.bin", "checkpoint.bin.manifest", "vocab.txt",
-                     "history.tsv", "metrics.txt"):
-            assert os.path.exists(os.path.join(run_dir, name))
+        assert sorted(os.listdir(run_dir)) == [
+            "checkpoint.bin", "history.tsv", "metrics.txt", "vocab.txt"
+        ]
 
     def test_history_has_header_and_rows(self, run_dir):
         lines = open(os.path.join(run_dir, "history.tsv")).read().strip().split("\n")
@@ -615,6 +616,139 @@ class TestExplainCommand:
         )
 
 
+ENOENT = f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}"
+EISDIR = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}"
+TRAIN = ["train", "--data", "{data}", "--schema", "{schema}", "--out", "{out}",
+         "--epochs", "1"]
+MODEL = ["--checkpoint", "{checkpoint}", "--vocab", "{vocab}", "--schema", "{schema}",
+         "--data", "{data}"]
+NOT_UTF8 = "not UTF-8 text (invalid start byte)"
+
+# argv (a later flag overrides an earlier one), exit code, the one stderr line
+ERROR_CASES = {
+    "missing-data": (TRAIN + ["--data", "{missing}"], 2, ENOENT + ": {missing!r}"),
+    "directory-data": (TRAIN + ["--data", "{dir}"], 2, EISDIR + ": {dir!r}"),
+    "missing-config": (TRAIN + ["--config", "{missing}"], 2, ENOENT + ": {missing!r}"),
+    "missing-checkpoint": (
+        ["evaluate", *MODEL, "--checkpoint", "{missing}"], 2, ENOENT + ": {missing!r}"
+    ),
+    "directory-checkpoint": (
+        ["evaluate", *MODEL, "--checkpoint", "{dir}"], 2, EISDIR + ": {dir!r}"
+    ),
+    "out-is-a-file": (
+        TRAIN + ["--out", "{file}"], 2, "--out {file} exists and is not a directory"
+    ),
+    "explain-out-unwritable": (
+        ["explain", *MODEL, "--instance", "0", "--out", "{missing}"],
+        2,
+        ENOENT + ": {missing!r}",
+    ),
+    "non-utf8-data": (TRAIN + ["--data", "{bad_data}"], 3, "{bad_data}: " + NOT_UTF8),
+    "non-utf8-schema": (
+        TRAIN + ["--schema", "{bad_schema}"], 3, "{bad_schema}: " + NOT_UTF8
+    ),
+    "non-utf8-vocab": (
+        ["evaluate", *MODEL, "--vocab", "{bad_vocab}"], 3, "{bad_vocab}: " + NOT_UTF8
+    ),
+    "non-utf8-config": (
+        TRAIN + ["--config", "{bad_config}"], 2, "{bad_config}: " + NOT_UTF8
+    ),
+    **{
+        f"alpha-{value}": (
+            ["explain", *MODEL, "--corpus", "norm", "--alpha", value],
+            2,
+            f"alpha must be finite and >= 0, got {float(value)}",
+        )
+        for value in ("nan", "-1", "inf")
+    },
+    **{
+        f"l2-{value}": (
+            TRAIN + ["--l2", value], 2, f"l2 must be finite and >= 0, got {float(value)}"
+        )
+        for value in ("nan", "-1", "inf")
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def error_paths(tmp_path_factory, synth_dir, run_dir):
+    """Good inputs, and the bad paths and non-UTF-8 files of ERROR_CASES."""
+    d = tmp_path_factory.mktemp("errors")
+    (d / "file").write_text("")
+    (d / "data.tsv").write_bytes(b"1\tv1\tv2\tv3\n0\t\xff\xfe\tv2\tv3\n")
+    (d / "schema.tsv").write_bytes(b"c0\tcat\n\xff\xfe\tcat\n")
+    vocab = open(os.path.join(run_dir, "vocab.txt"), "rb").read()
+    (d / "vocab.txt").write_bytes(vocab + b"c0\t\xff\xfe\t99\n")
+    (d / "run.conf").write_bytes(b"epochs = 1\n# \xff\xfe\n")
+    return {
+        "data": os.path.join(synth_dir, "data.tsv"),
+        "schema": os.path.join(synth_dir, "schema.tsv"),
+        "checkpoint": os.path.join(run_dir, "checkpoint.bin"),
+        "vocab": os.path.join(run_dir, "vocab.txt"),
+        "out": str(d / "out"),
+        "missing": str(d / "absent" / "x.txt"),
+        "dir": str(d),
+        "file": str(d / "file"),
+        "bad_data": str(d / "data.tsv"),
+        "bad_schema": str(d / "schema.tsv"),
+        "bad_vocab": str(d / "vocab.txt"),
+        "bad_config": str(d / "run.conf"),
+    }
+
+
+class TestErrorTable:
+    """Each path or option error ends in its exit code and one stderr line,
+    without a traceback, also under `python -O`."""
+
+    @staticmethod
+    def case(name, paths):
+        argv, code, line = ERROR_CASES[name]
+        return [a.format(**paths) for a in argv], code, "error: " + line.format(**paths)
+
+    @pytest.mark.parametrize("name", ERROR_CASES)
+    def test_in_process(self, error_paths, capsys, name):
+        argv, code, line = self.case(name, error_paths)
+        assert main(argv) == code
+        assert capsys.readouterr().err == line + "\n"
+        assert not os.path.exists(error_paths["out"])
+
+    @pytest.mark.parametrize("name", ERROR_CASES)
+    def test_optimized_subprocess(self, error_paths, name):
+        argv, code, line = self.case(name, error_paths)
+        result = run_optimized(argv)
+        assert (result.returncode, result.stderr) == (code, line + "\n")
+
+
+class TestScoringChunks:
+    def test_evaluate_and_corpus_explain_make_the_same_passes(
+        self, synth_dir, run_dir, tmp_path, capsys, monkeypatch
+    ):
+        """2 * SCORE_CHUNK + 5 rows are scored in 3 tape-free passes by both."""
+        lines = open(os.path.join(synth_dir, "data.tsv")).read().splitlines()
+        data = tmp_path / "data.tsv"
+        data.write_text(
+            "".join(lines[i % len(lines)] + "\n" for i in range(2 * SCORE_CHUNK + 5))
+        )
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return predict(*args, **kwargs)
+
+        monkeypatch.setattr(model, "predict", counted)
+        inputs = [
+            "--checkpoint", os.path.join(run_dir, "checkpoint.bin"),
+            "--vocab", os.path.join(run_dir, "vocab.txt"),
+            "--schema", os.path.join(synth_dir, "schema.tsv"),
+            "--data", str(data),
+        ]
+        assert main(["evaluate", *inputs]) == 0
+        assert calls == [{"keep_tape": False}] * 3
+        calls.clear()
+        assert main(["explain", *inputs, "--corpus", "norm"]) == 0
+        assert calls == [{"keep_tape": False}] * 3
+
+
 class TestQuickstart:
     def test_generated_demo_data_trains_evaluates_and_explains(self, tmp_path, capsys):
         """The README recipe: perfbench/gen.py writes the demo input, and
@@ -673,10 +807,3 @@ class TestDeterminism:
             for line in open(os.path.join(p, "history.tsv")).read().strip().split("\n")
         ]
         assert strip(outs[0]) == strip(outs[1])
-        # manifests match outside the created timestamp
-        keep = lambda p: [
-            line
-            for line in open(os.path.join(p, "checkpoint.bin.manifest")).read().split("\n")
-            if not line.startswith("created")
-        ]
-        assert keep(outs[0]) == keep(outs[1])

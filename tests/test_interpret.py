@@ -4,13 +4,18 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from contextnet.data import EncodedDataset
+from contextnet.data import EncodedDataset, Vocabulary, make_schema
 from contextnet.interpret import corpus_feature_importance, explain_instance
 from contextnet.model import ModelConfig, NonFiniteScore, init_params, predict
 from contextnet.ops import Rng, logit
 
 CARDS = [6, 5, 4]
 CFG = ModelConfig(n_fields=3, embed_dim=4, agg_width=5, n_blocks=2)
+# field i is named field_i; its token of index j >= 1 is #j (0 is <oov>)
+SCHEMA = make_schema([(f"field_{i}", "cat") for i in range(len(CARDS))])
+VOCAB = Vocabulary(
+    tokens={f.name: {f"#{j}": j for j in range(1, c)} for f, c in zip(SCHEMA, CARDS)}
+)
 
 
 def random_instance(rng, cards):
@@ -63,7 +68,7 @@ class TestCorpusImportance:
     def test_single_instance_sum_equals_abs_instance_weight(self):
         params = trained_like_params(9)
         ds = two_instance_corpus().take(np.array([0]))
-        rows = corpus_feature_importance(params, CFG, ds, mode="sum")
+        rows = corpus_feature_importance(params, CFG, ds, SCHEMA, VOCAB, mode="sum")
         report = explain_instance(params, CFG, ds.take(slice(0, 1)))
         by_field = {r.field: r.score for r in rows}
         for i in range(3):
@@ -76,7 +81,9 @@ class TestCorpusImportance:
         ds = two_instance_corpus()
         r0 = explain_instance(params, CFG, ds.take(slice(0, 1)))
         r1 = explain_instance(params, CFG, ds.take(slice(1, 2)))
-        rows = corpus_feature_importance(params, CFG, ds, mode="norm", alpha=10.0)
+        rows = corpus_feature_importance(
+            params, CFG, ds, SCHEMA, VOCAB, mode="norm", alpha=10.0
+        )
         scores = {(r.field, r.token): r.score for r in rows}
         # field_0 token #1 appears in both instances: (|w0| + |w1|) / (2 + 10)
         want = (abs(r0.weights[0]) + abs(r1.weights[0])) / 12.0
@@ -92,10 +99,12 @@ class TestCorpusImportance:
     def test_absent_values_not_listed(self):
         params = trained_like_params(11)
         ds = two_instance_corpus()
-        rows = corpus_feature_importance(params, CFG, ds, mode="sum")
+        rows = corpus_feature_importance(params, CFG, ds, SCHEMA, VOCAB, mode="sum")
         listed = {(r.field, r.token): r.count for r in rows}
         present = Counter(
-            (f"field_{i}", f"#{v}") for i in range(3) for v in ds.indices[:, i]
+            (f"field_{i}", VOCAB.token_of(f"field_{i}", v))
+            for i in range(3)
+            for v in ds.indices[:, i]
         )
         assert listed == present
 
@@ -108,7 +117,7 @@ class TestCorpusImportance:
         prev = {}
         for size in (10, 20, 30):
             rows = corpus_feature_importance(
-                params, CFG, ds.take(np.arange(size)), mode="sum"
+                params, CFG, ds.take(np.arange(size)), SCHEMA, VOCAB, mode="sum"
             )
             cur = {(r.field, r.token): r.score for r in rows}
             for key, score in prev.items():
@@ -118,7 +127,7 @@ class TestCorpusImportance:
     def test_rows_sorted_descending(self):
         params = trained_like_params(14)
         ds = two_instance_corpus()
-        rows = corpus_feature_importance(params, CFG, ds, mode="norm")
+        rows = corpus_feature_importance(params, CFG, ds, SCHEMA, VOCAB, mode="norm")
         scores = [r.score for r in rows]
         assert scores == sorted(scores, reverse=True)
 
@@ -129,7 +138,7 @@ class TestCorpusImportance:
         ds = EncodedDataset(np.ones(n), indices, np.ones((n, 3)))
         ds.values[[5000, 9000], 2] = np.nan
         with pytest.raises(NonFiniteScore, match="scored row 5000:"):
-            corpus_feature_importance(params, CFG, ds)
+            corpus_feature_importance(params, CFG, ds, SCHEMA, VOCAB)
 
 
 class TestBlockDotProducts:

@@ -12,6 +12,7 @@ from contextnet import checkpoint as ckpt_module
 from contextnet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from contextnet.data import EncodedDataset
 from contextnet.model import (
+    SCORE_CHUNK,
     ModelConfig,
     NonFiniteScore,
     embed,
@@ -204,7 +205,7 @@ class TestTceForward:
         p = init_params(config, CARDS, seed=30)
         batch = random_batch(Rng(31), 5, CARDS)
         _, tape = predict(batch, p, config)
-        assert np.array_equal(tape.agg_pre[0], tape.agg_pre[1])
+        assert np.array_equal(tape.agg_act[0], tape.agg_act[1])
 
 
 class TestBlockForward:
@@ -327,7 +328,7 @@ class TestPredict:
         for block in range(CFG.n_blocks):
             agg_w = p[f"agg_w.{block}"].reshape(5, 3, 4).transpose(0, 2, 1)
             want = agg_w.reshape(5, -1) @ e0_flat + p[f"agg_b.{block}"][:, None]
-            assert np.array_equal(tape.agg_pre[block], want)
+            assert np.array_equal(tape.agg_act[block], np.maximum(want, 0))
 
 
 ABLATIONS = [{}, {"no_tce": True}, {"no_ffn": True}, {"no_ln": True}, {"no_rc": True}]
@@ -353,16 +354,16 @@ class TestScoringWithoutTape:
         assert tape.logits.tobytes() == taped.logits.tobytes()
         assert len(tape.stages) == 1
         assert tape.stages[0].tobytes() == taped.stages[-1].tobytes()
-        assert not (tape.context or tape.merged or tape.ln or tape.agg_pre)
+        assert not (tape.context or tape.merged or tape.ln or tape.agg_act)
 
     def test_multi_chunk_scores_equal_chunkwise_taped_predict(self):
         config = replace(CFG, variant="pffn", sharing="agg")
         p = randomized(init_params(config, CARDS, seed=14), 15)
-        data = random_batch(Rng(16), 2 * 8192 + 123, CARDS)
+        data = random_batch(Rng(16), 2 * SCORE_CHUNK + 123, CARDS)
         want = np.concatenate(
             [
-                predict(data.take(slice(s, s + 8192)), p, config)[0]
-                for s in range(0, len(data), 8192)
+                predict(data.take(slice(s, s + SCORE_CHUNK)), p, config)[0]
+                for s in range(0, len(data), SCORE_CHUNK)
             ]
         )
         assert predict_scores(data, p, config).tobytes() == want.tobytes()
@@ -370,13 +371,13 @@ class TestScoringWithoutTape:
     @pytest.mark.parametrize("variant", ["sffn", "pffn"])
     def test_peak_memory_bounded_by_chunk(self, variant):
         """Peak traced memory of scoring two full chunks at the ML-1m shape
-        stays within 12 activations of [8192, f, k] float64 (keeping the tape
-        took 17 for sffn, 23 for pffn)."""
+        stays within 12 activations of [SCORE_CHUNK, f, k] float64 (keeping
+        the tape took 17 for sffn, 23 for pffn)."""
         cards = [2, 7, 21, 500, 800, 18, 81]
         config = ModelConfig(n_fields=7, variant=variant)
         p = randomized(init_params(config, cards, seed=17), 18)
-        data = random_batch(Rng(19), 2 * 8192, cards)
-        activation = 8192 * config.flat_dim * 8
+        data = random_batch(Rng(19), 2 * SCORE_CHUNK, cards)
+        activation = SCORE_CHUNK * config.flat_dim * 8
         tracemalloc.start()
         try:
             predict_scores(data, p, config)
@@ -737,11 +738,3 @@ class TestCheckpoint:
         write_raw(path, header, tensors)
         with pytest.raises(CheckpointError, match="wrong shape \\['embed.0'\\]"):
             load_checkpoint(path)
-
-    def test_manifest_written(self, tmp_path):
-        p = init_params(CFG, CARDS, seed=24)
-        path = str(tmp_path / "model.bin")
-        save_checkpoint(path, p, CFG, CARDS, FIELDS, seed=24)
-        manifest = open(path + ".manifest").read()
-        assert "created" in manifest
-        assert "head_w" in manifest

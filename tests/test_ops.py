@@ -13,15 +13,9 @@ from contextnet.ops import (
     layer_norm_backward,
     logit,
     mix_seed,
-    relu,
     scatter_add,
     sigmoid,
 )
-
-
-class TestRelu:
-    def test_basic(self):
-        assert np.array_equal(relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
 
 
 class TestLayerNorm:
