@@ -280,7 +280,10 @@ def cmd_explain(opts: dict) -> int:
         raise ConfigError(f"unknown corpus mode {mode!r}")
     if not 0.0 <= opts["alpha"] < math.inf:
         raise ConfigError(f"alpha must be finite and >= 0, got {opts['alpha']}")
+    if opts["top"] < 0:
+        raise ConfigError(f"top must be >= 0, got {opts['top']}")
     params, config, header, schema, vocab, dataset = _load_model_inputs(opts)
+    tables = [vocab.token_table(f) for f in schema]
     lines = []
     if opts["instance"] is not None:
         n = opts["instance"]
@@ -295,22 +298,22 @@ def cmd_explain(opts: dict) -> int:
         lines.append("field\ttoken\tweight")
         order = np.argsort(-np.abs(report.weights))
         for i in order:
-            token = vocab.token_of(schema[i].name, int(inst.indices[0, i]))
+            token = tables[i][inst.indices[0, i]]
             lines.append(f"{schema[i].name}\t{token}\t{report.weights[i]:+.10f}")
         for level, mat in enumerate(report.correlations):
             lines.append(f"block-correlations\tlevel\t{level}")
             for row in mat:
                 lines.append("\t".join(f"{v:+.6f}" for v in row))
     else:
-        rows = itp.corpus_feature_importance(
-            params, config, dataset, schema, vocab, mode=mode, alpha=opts["alpha"]
+        ranked = itp.corpus_feature_importance(
+            params, config, dataset, schema, tables, mode=mode, alpha=opts["alpha"]
         )
-        top = opts["top"]
-        if top > 0:
-            rows = rows[:top]
+        top = opts["top"] or None  # 0 prints every row
         lines.append("field\ttoken\tcount\tscore")
-        for r in rows:
-            lines.append(f"{r.field}\t{r.token}\t{r.count}\t{r.score:.10f}")
+        lines.extend(
+            "{}\t{}\t{}\t{:.10f}".format(schema[i].name, tables[i][j], n, score)
+            for i, j, n, score in zip(*(a[:top].tolist() for a in ranked))
+        )
     text = "\n".join(lines) + "\n"
     print(text, end="")
     if opts["out"] is not None:

@@ -84,23 +84,21 @@ class Vocabulary:
 
     tokens: dict[str, dict[str, int]] = field(default_factory=dict)
     numeric_stats: dict[str, tuple[float, float]] = field(default_factory=dict)
-    _reverse: dict[str, dict[int, str]] = field(default_factory=dict, repr=False)
 
     def cardinality(self, f: FieldSchema) -> int:
         if f.kind == NUMERICAL:
             return 1
         return len(self.tokens[f.name]) + 1  # +1 for the OOV slot
 
-    def token_of(self, field_name: str, index: int) -> str:
-        if field_name in self.numeric_stats:
-            return "<numeric>"
-        if index == OOV_INDEX:
-            return "<oov>"
-        rev = self._reverse.get(field_name)
-        if rev is None:
-            rev = {i: t for t, i in self.tokens[field_name].items()}
-            self._reverse[field_name] = rev
-        return rev[index]
+    def token_table(self, f: FieldSchema) -> list[str]:
+        """The token of each of field f's indices: "<oov>" at index 0, and a
+        numerical field's one entry is "<numeric>"."""
+        if f.kind == NUMERICAL:
+            return ["<numeric>"]
+        table = ["<oov>"] * self.cardinality(f)
+        for token, i in self.tokens[f.name].items():
+            table[i] = token
+        return table
 
 
 def build_vocabulary(

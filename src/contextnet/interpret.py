@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from contextnet.data import EncodedDataset, FieldSchema, Vocabulary
+from contextnet.data import EncodedDataset, FieldSchema
 from contextnet.model import (
     ModelConfig,
     Params,
@@ -35,14 +35,6 @@ class InstanceReport:
     logit: float
     score: float
     correlations: list[np.ndarray]  # per stage, symmetric [f, f] dot products
-
-
-@dataclass
-class ImportanceRow:
-    field: str
-    token: str
-    count: int  # instances containing the feature value
-    score: float
 
 
 def explain_instance(
@@ -76,17 +68,18 @@ def corpus_feature_importance(
     config: ModelConfig,
     dataset: EncodedDataset,
     schema: list[FieldSchema],
-    vocab: Vocabulary,
+    tables: list[list[str]],
     mode: str = IMPORTANCE_NORM,
     alpha: float = 10.0,
-) -> list[ImportanceRow]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Aggregate |per-field weight| per feature value over a dataset.
 
     sum mode totals the absolute contributions; norm mode divides by
     (n + alpha) where n counts the instances containing the feature value,
     damping rare features. Numerical fields aggregate under one per-field
-    key. Rows are sorted by descending score; feature values absent from
-    the dataset are not listed.
+    key. Returns (field position, index, count, score) arrays, one entry per
+    value present, ordered by score descending, then field name, then token
+    (tables[i] is field i's Vocabulary.token_table), then position and index.
     Chunks are scored without a tape (model.score_chunks); a non-finite
     logit raises NonFiniteScore.
     """
@@ -96,15 +89,23 @@ def corpus_feature_importance(
     for rows, tape in score_chunks(dataset, params, config):
         np.abs(field_weights(tape.stages[-1], params, config), out=fw_abs[:, rows])
 
-    out = []
-    for i, f in enumerate(schema):
+    parts = []
+    for i in range(config.n_fields):
         # per feature value (a numerical field has one), its rows' terms
         # summed in row order from 0.0
         present, inverse = np.unique(dataset.indices[:, i], return_inverse=True)
         counts = np.bincount(inverse, minlength=present.size)
         sums = np.bincount(inverse, weights=fw_abs[i], minlength=present.size)
-        for idx, n, total in zip(present.tolist(), counts.tolist(), sums.tolist()):
-            score = total if mode == IMPORTANCE_SUM else total / (n + alpha)
-            out.append(ImportanceRow(f.name, vocab.token_of(f.name, idx), n, score))
-    out.sort(key=lambda r: (-r.score, r.field, r.token))
-    return out
+        score = sums if mode == IMPORTANCE_SUM else sums / (counts + alpha)
+        parts.append((np.full(present.size, i), present, counts, score))
+    field, index, count, score = (np.concatenate(a) for a in zip(*parts))
+    name_rank = np.argsort(np.argsort(np.array([f.name for f in schema], dtype=object)))
+    order = np.lexsort((index, name_rank[field], -score))
+    # runs of one field's values with exactly equal scores go by token, stably
+    s, f = score[order], field[order]
+    tie = (s[1:] == s[:-1]) & (f[1:] == f[:-1])
+    tied = np.flatnonzero(np.diff(np.r_[False, tie, False]))  # run starts, ends
+    for a, b in zip(tied[::2], tied[1::2] + 1):
+        table = tables[f[a]]
+        order[a:b] = sorted(order[a:b].tolist(), key=lambda r: table[index[r]])
+    return field[order], index[order], count[order], score[order]

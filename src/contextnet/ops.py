@@ -202,14 +202,6 @@ class Rng:
             return float(z[0])
         return z.reshape(size)
 
-    def integers(self, low: int, high: int, size=None):
-        """Uniform integers in [low, high). Bias is O(span/2^53), negligible here."""
-        u = self.random(size if size is not None else 1)
-        out = (low + np.floor(np.atleast_1d(u) * (high - low))).astype(np.int64)
-        if size is None:
-            return int(out[0])
-        return out.reshape(size)
-
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n) by sorting raw 64-bit keys."""
         keys = self.uint64(n)

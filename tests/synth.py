@@ -22,6 +22,16 @@ _LATENT_SALT = 0x1A7E
 _LABEL_SALT = 0x1AB5
 
 
+def integers(rng: Rng, low: int, high: int, size=None):
+    """Uniform integers in [low, high) from rng's floats. Bias is
+    O(span/2^53), negligible here."""
+    u = rng.random(size if size is not None else 1)
+    out = (low + np.floor(np.atleast_1d(u) * (high - low))).astype(np.int64)
+    if size is None:
+        return int(out[0])
+    return out.reshape(size)
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     n_fields: int = 6
@@ -101,7 +111,7 @@ def generate(spec: SynthSpec) -> SynthData:
             draws = token_rng.random((n,))
             tokens[:, i] = np.searchsorted(cum, draws, side="right").clip(0, card - 1)
         else:
-            tokens[:, i] = token_rng.integers(0, card, (n,))
+            tokens[:, i] = integers(token_rng, 0, card, (n,))
     latents = [latent_rng.normal((card, spec.latent_dim)) for card in cards]
 
     raw = np.zeros(n)

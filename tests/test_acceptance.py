@@ -35,7 +35,7 @@ from contextnet.model import (
 )
 from contextnet.ops import Rng
 from contextnet.training import TrainConfig, train
-from synth import SynthSpec, generate, write_dataset
+from synth import SynthSpec, generate, integers, write_dataset
 
 GRAD_STEP = 1e-5
 GRAD_TOL = 1e-4
@@ -68,7 +68,7 @@ def _max_rel_grad_error(config, cards, seed):
     params = init_params(config, cards, seed)
     for tensor in params.values():
         tensor[...] = rng.normal(tensor.shape, scale=0.4)
-    idx = np.stack([rng.integers(0, c, (6,)) for c in cards], axis=1)
+    idx = np.stack([integers(rng, 0, c, (6,)) for c in cards], axis=1)
     batch = EncodedDataset(
         (rng.random((6,)) < 0.5).astype(float), idx, np.ones((6, len(cards)))
     )
@@ -134,7 +134,7 @@ def test_criterion_02_lr_degeneracy():
     params = init_params(config, cards, seed=42)
     params["head_w"][...] = rng.normal((24,))
     params["head_b"][0] = rng.normal()
-    idx = np.stack([rng.integers(0, c, (1000,)) for c in cards], axis=1)
+    idx = np.stack([integers(rng, 0, c, (1000,)) for c in cards], axis=1)
     values = rng.normal((1000, 4), loc=1.0, scale=0.5)
     batch = EncodedDataset(np.zeros(1000), idx, values)
     scores, _ = predict(batch, params, config)
@@ -176,7 +176,7 @@ def test_criterion_03_hadamard_identity():
     for name, tensor in l0_params.items():
         tensor[...] = params[name]
 
-    idx = np.stack([rng.integers(0, c, (512,)) for c in cards], axis=1)
+    idx = np.stack([integers(rng, 0, c, (512,)) for c in cards], axis=1)
     batch = EncodedDataset(np.zeros(512), idx, np.ones((512, 3)))
     deep, _ = predict(batch, params, deep_config)
     shallow, _ = predict(batch, l0_params, l0_config)
@@ -201,7 +201,7 @@ def test_criterion_04_auc_oracle():
     rng = Rng(1234)
     worst = 0.0
     for _ in range(500):
-        n = rng.integers(2, 201)
+        n = integers(rng, 2, 201)
         scores = np.round(rng.random((n,)) * 6) / 6  # deliberate ties
         labels = (rng.random((n,)) < 0.5).astype(int)
         if labels.min() == labels.max():
@@ -430,7 +430,7 @@ def test_criterion_10_interpretability_identity():
     rng = Rng(55)
     # a briefly trained checkpoint, so the weights are non-degenerate
     n = 4000
-    idx = np.stack([rng.integers(0, c, (n,)) for c in cards], axis=1)
+    idx = np.stack([integers(rng, 0, c, (n,)) for c in cards], axis=1)
     labels = (rng.random((n,)) < 0.5).astype(float)
     ds = EncodedDataset(labels, idx, np.ones((n, 4)))
     params = init_params(config, cards, seed=55, pos_rate=0.5)
@@ -441,7 +441,7 @@ def test_criterion_10_interpretability_identity():
     for _ in range(1000):
         inst = EncodedDataset(
             np.ones(1),
-            np.array([[rng.integers(0, c) for c in cards]], dtype=np.int64),
+            np.array([[integers(rng, 0, c) for c in cards]], dtype=np.int64),
             np.ones((1, 4)),
         )
         report = explain_instance(trained, config, inst)

@@ -661,6 +661,11 @@ ERROR_CASES = {
         )
         for value in ("nan", "-1", "inf")
     },
+    "top-negative": (
+        ["explain", *MODEL, "--corpus", "norm", "--top", "-3"],
+        2,
+        "top must be >= 0, got -3",
+    ),
     **{
         f"l2-{value}": (
             TRAIN + ["--l2", value], 2, f"l2 must be finite and >= 0, got {float(value)}"
@@ -807,3 +812,25 @@ class TestDeterminism:
             for line in open(os.path.join(p, "history.tsv")).read().strip().split("\n")
         ]
         assert strip(outs[0]) == strip(outs[1])
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize(
+    "preset, want",
+    [({}, ["1", "1", "1"]), ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"])],
+)
+def test_import_pins_blas_threads_unless_set(preset, want):
+    """Importing the CLI sets each BLAS thread variable that is unset to 1."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(preset, PYTHONPATH=os.path.dirname(os.path.dirname(contextnet.__file__)))
+    code = f"import os, contextnet.cli; print(*map(os.environ.get, {BLAS_VARS!r}))"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert result.stdout.split() == want

@@ -220,7 +220,7 @@ class TestEncodeInstance:
     def test_decode_roundtrip_for_in_vocab_tokens(self, schema, vocab):
         for token in ("red", "blue"):
             idx = vocab.tokens["color"].get(token, OOV_INDEX)
-            assert vocab.token_of("color", idx) == token
+            assert vocab.token_table(schema[0])[idx] == token
 
 
 class TestSplits:
@@ -308,6 +308,19 @@ class TestFiles:
         loaded = load_vocabulary(path)
         assert loaded.tokens == vocab.tokens
         assert loaded.numeric_stats == vocab.numeric_stats
+
+    def test_token_table_follows_indices_not_file_order(self, schema, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text(
+            "#contextnet-vocab\t1\n#tokens\ncolor\tblue\t3\ncolor\tred\t1\n"
+            "color\tgreen\t2\nshape\tsq\t1\n#numeric-stats\nsize\t2.0\t1.0\n"
+        )
+        vocab = load_vocabulary(str(path))
+        assert [vocab.token_table(f) for f in schema] == [
+            ["<oov>", "red", "green", "blue"],
+            ["<numeric>"],
+            ["<oov>", "sq"],
+        ]
 
     def test_vocabulary_bad_magic(self, tmp_path):
         path = tmp_path / "vocab.txt"

@@ -9,6 +9,7 @@ import pytest
 from contextnet.data import EncodedDataset
 from contextnet.model import ModelConfig, init_params, loss_and_grads
 from contextnet.ops import Rng
+from synth import integers
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
@@ -20,7 +21,7 @@ def randomized_model(config, cards, seed):
     params = init_params(config, cards, seed)
     for tensor in params.values():
         tensor[...] = rng.normal(tensor.shape, scale=0.4)
-    idx = np.stack([rng.integers(0, c, (6,)) for c in cards], axis=1)
+    idx = np.stack([integers(rng, 0, c, (6,)) for c in cards], axis=1)
     batch = EncodedDataset(
         (rng.random((6,)) < 0.5).astype(float), idx, np.ones((6, len(cards)))
     )

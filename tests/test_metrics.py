@@ -8,6 +8,7 @@ from contextnet.data import EncodedDataset
 from contextnet.metrics import auc, logloss, rela_imp
 from contextnet.model import ModelConfig, init_params, loss_and_grads, predict_scores
 from contextnet.ops import Rng
+from synth import integers
 
 
 def pairwise_auc(scores, labels):
@@ -102,7 +103,7 @@ class TestLogloss:
         for t in params.values():
             t[...] = rng.normal(t.shape, scale=0.3)
         n = 200
-        indices = np.stack([rng.integers(0, c, (n,)) for c in cards], axis=1)
+        indices = np.stack([integers(rng, 0, c, (n,)) for c in cards], axis=1)
         labels = (rng.random((n,)) < 0.5).astype(float)
         batch = EncodedDataset(labels, indices, np.ones((n, 3)))
         loss, _ = loss_and_grads(batch, params, config)

@@ -25,11 +25,12 @@ from contextnet.model import (
 )
 from contextnet.metrics import logloss
 from contextnet.ops import Rng, layer_norm, mix_seed, sigmoid
+from synth import integers
 
 
 def random_batch(rng, size, cards):
     f = len(cards)
-    idx = np.stack([rng.integers(0, c, (size,)) for c in cards], axis=1)
+    idx = np.stack([integers(rng, 0, c, (size,)) for c in cards], axis=1)
     labels = (rng.random((size,)) < 0.5).astype(float)
     return EncodedDataset(labels, idx, np.ones((size, f)))
 

@@ -180,10 +180,6 @@ class TestRng:
         u = Rng(11).random((10_000,))
         assert u.min() >= 0.0 and u.max() < 1.0
 
-    def test_integers_bounds(self):
-        v = Rng(12).integers(3, 9, (10_000,))
-        assert v.min() >= 3 and v.max() <= 8
-
     def test_chunked_draws_match_single_draw(self):
         whole = Rng(13).uint64(3000)
         r = Rng(13)

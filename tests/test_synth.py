@@ -4,7 +4,7 @@ import pytest
 
 from contextnet.metrics import auc
 from contextnet.ops import Rng
-from synth import SynthSpec, expected_auc, generate, write_dataset
+from synth import SynthSpec, expected_auc, generate, integers, write_dataset
 
 
 def pairwise_expected_auc(probs):
@@ -24,6 +24,11 @@ def pairwise_expected_auc(probs):
             elif probs[i] == probs[j]:
                 num += 0.5 * weight
     return num / den
+
+
+def test_integers_bounds():
+    v = integers(Rng(12), 3, 9, (10_000,))
+    assert v.min() >= 3 and v.max() <= 8
 
 
 class TestExpectedAuc:

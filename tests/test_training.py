@@ -17,6 +17,7 @@ from contextnet.training import (
     init_adam,
     train,
 )
+from synth import integers
 
 CARDS = [6, 5]
 CFG = ModelConfig(n_fields=2, embed_dim=3, agg_width=4, n_blocks=1)
@@ -95,7 +96,7 @@ def _linearly_separable(n=400, seed=0):
     labels = (rng.random((n,)) < 0.5).astype(float)
     idx = np.zeros((n, 2), dtype=np.int64)
     idx[:, 0] = np.where(labels == 1.0, 1, 2)
-    idx[:, 1] = rng.integers(0, 5, (n,))
+    idx[:, 1] = integers(rng, 0, 5, (n,))
     return EncodedDataset(labels, idx, np.ones((n, 2)))
 
 
