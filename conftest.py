@@ -10,7 +10,4 @@ time. The thread count is read when NumPy is first imported, so it is set
 here, before any test module loads NumPy. A value already in the
 environment is kept.
 """
-import os
-
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+import contextnet  # noqa: F401  (its import sets the thread count)

@@ -42,13 +42,11 @@ import os
 import sys
 import tempfile
 
-# one BLAS thread, as in the test suite and the benchmark
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), ROOT, os.path.join(ROOT, "tests")]
 
+# importing contextnet before NumPy pins BLAS to one thread, as in the
+# test suite and the benchmark
 from contextnet.cli import main as cli  # noqa: E402
 from perfbench import gen  # noqa: E402
 import synth  # noqa: E402

@@ -30,7 +30,12 @@ EXIT_NUMERIC = 4
 
 
 class ConfigError(ValueError):
-    """Bad option value or unknown config key."""
+    """A usage error: a bad command line, option value or config file."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line and exit 2, not a usage block
+        raise ConfigError(message)
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
@@ -46,105 +51,87 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return out
 
 
-# (name, type, default, help) per subcommand; None default means required
-# unless the type is optional by construction
-_COMMON_MODEL_OPTS = [
-    ("embed_dim", int, 10, "embedding size per field"),
-    ("agg_width", int, 20, "aggregation layer width"),
-    ("blocks", int, 3, "number of refinement blocks (0 = logistic regression)"),
-    ("variant", str, "sffn", "block variant: pffn | sffn"),
-    ("sharing", str, "none", "cross-block sharing: none | agg | agg-proj"),
-    ("ablate", str, "", "comma list from {tce,ffn,ln,rc} to remove"),
-    ("l2", float, 0.0, "l2 penalty coefficient"),
-]
-_TRAIN_OPTS = [
-    ("data", str, None, "training data file (tsv)"),
-    ("schema", str, None, "schema file (name<TAB>kind per line)"),
-    ("out", str, None, "output directory"),
-    ("seed", int, 0, "seed for split/init/shuffle"),
-    ("min_count", int, 1, "minimum token count for the vocabulary"),
-    *_COMMON_MODEL_OPTS,
-    ("batch_size", int, 1024, "mini-batch size"),
-    ("lr", float, 1e-4, "Adam learning rate"),
-    ("epochs", int, 20, "maximum training epochs"),
-    ("patience", int, 2, "non-improving evaluations tolerated before stopping"),
-    ("eval_every", int, 1, "evaluate every n-th epoch"),
-]
-_EVAL_OPTS = [
-    ("checkpoint", str, None, "checkpoint file"),
-    ("vocab", str, None, "vocabulary file"),
-    ("schema", str, None, "schema file"),
-    ("data", str, None, "data file"),
-    ("split", str, "all", "which 8:1:1 part to score: train | val | test | all"),
-    ("seed", int, None, "split seed (default: the checkpoint's training seed)"),
-    ("base_auc", float, None, "baseline AUC for relative improvement"),
-]
-_EXPLAIN_OPTS = [
-    ("checkpoint", str, None, "checkpoint file"),
-    ("vocab", str, None, "vocabulary file"),
-    ("schema", str, None, "schema file"),
-    ("data", str, None, "data file"),
-    ("instance", int, None, "explain the n-th record (0-based)"),
-    ("corpus", str, None, "corpus importance mode: sum | norm"),
-    ("alpha", float, 10.0, "frequency damping for norm mode"),
-    ("top", int, 20, "rows to print in corpus mode (0 = all)"),
-    ("out", str, None, "also write the report to this file"),
+# (name, type, default, help) per subcommand; REQUIRED: the option has no default
+REQUIRED = object()
+_MODEL_INPUT_OPTS = [
+    ("checkpoint", str, REQUIRED, "checkpoint file"),
+    ("vocab", str, REQUIRED, "vocabulary file"),
+    ("schema", str, REQUIRED, "schema file"),
+    ("data", str, REQUIRED, "data file"),
 ]
 _OPTS = {
-    "train": _TRAIN_OPTS,
-    "evaluate": _EVAL_OPTS,
-    "explain": _EXPLAIN_OPTS,
-}
-_REQUIRED = {
-    "train": ("data", "schema", "out"),
-    "evaluate": ("checkpoint", "vocab", "schema", "data"),
-    "explain": ("checkpoint", "vocab", "schema", "data"),
+    "train": [
+        ("data", str, REQUIRED, "training data file (tsv)"),
+        ("schema", str, REQUIRED, "schema file (name<TAB>kind per line)"),
+        ("out", str, REQUIRED, "output directory"),
+        ("seed", int, 0, "seed for split/init/shuffle"),
+        ("min_count", int, 1, "minimum token count for the vocabulary"),
+        ("embed_dim", int, 10, "embedding size per field"),
+        ("agg_width", int, 20, "aggregation layer width"),
+        ("blocks", int, 3, "number of refinement blocks (0 = logistic regression)"),
+        ("variant", str, "sffn", "block variant: pffn | sffn"),
+        ("sharing", str, "none", "cross-block sharing: none | agg | agg-proj"),
+        ("ablate", str, "", "comma list from {tce,ffn,ln,rc} to remove"),
+        ("l2", float, 0.0, "l2 penalty coefficient"),
+        ("batch_size", int, 1024, "mini-batch size"),
+        ("lr", float, 1e-4, "Adam learning rate"),
+        ("epochs", int, 20, "maximum training epochs"),
+        ("patience", int, 2, "non-improving evaluations tolerated before stopping"),
+        ("eval_every", int, 1, "evaluate every n-th epoch"),
+    ],
+    "evaluate": [
+        *_MODEL_INPUT_OPTS,
+        ("split", str, "all", "which 8:1:1 part to score: train | val | test | all"),
+        ("seed", int, None, "split seed (default: the checkpoint's training seed)"),
+        ("base_auc", float, None, "baseline AUC for relative improvement"),
+    ],
+    "explain": [
+        *_MODEL_INPUT_OPTS,
+        ("instance", int, None, "explain the n-th record (0-based)"),
+        ("corpus", str, None, "corpus importance mode: sum | norm"),
+        ("alpha", float, 10.0, "frequency damping for norm mode"),
+        ("top", int, 20, "rows to print in corpus mode (0 = all)"),
+        ("out", str, None, "also write the report to this file"),
+    ],
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="contextnet",
         description="Train, evaluate, and explain contextual-embedding CTR models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, opts in _OPTS.items():
         p = sub.add_parser(command)
-        p.add_argument("--config", type=str, default=None, help="flat key=value file")
-        for name, typ, default, help_text in opts:
-            flag = "--" + name.replace("_", "-")
-            p.add_argument(flag, type=typ, default=None, help=help_text)
+        p.add_argument("--config", help="flat key=value file")
+        for name, _, _, help_text in opts:
+            p.add_argument("--" + name.replace("_", "-"), help=help_text)
     return parser
 
 
 def resolve_options(args: argparse.Namespace) -> dict:
-    """Merge CLI flags over config-file values over defaults."""
-    opts_spec = _OPTS[args.command]
-    known = {name for name, _, _, _ in opts_spec}
-    file_values = {}
-    if args.config is not None:
-        raw = _parse_config_file(args.config)
-        for key, value in raw.items():
-            if key not in known:
-                raise ConfigError(f"unknown config key {key!r} for {args.command}")
-            file_values[key] = value
+    """Merge CLI flags over config-file values over defaults, converting
+    each value from either source with its option's type."""
+    spec = {name: (typ, default) for name, typ, default, _ in _OPTS[args.command]}
+    file_values = {} if args.config is None else _parse_config_file(args.config)
+    for key in file_values:
+        if key not in spec:
+            raise ConfigError(f"unknown config key {key!r} for {args.command}")
     merged = {}
-    for name, typ, default, _ in opts_spec:
-        flag_value = getattr(args, name)
-        if flag_value is not None:
-            merged[name] = flag_value
-        elif name in file_values:
+    for name, (typ, default) in spec.items():
+        flag = "--" + name.replace("_", "-")
+        value = getattr(args, name)
+        if value is None:
+            value = file_values.get(name, default)
+        if value is REQUIRED:
+            raise ConfigError(f"missing required option {flag}")
+        if isinstance(value, str):
             try:
-                merged[name] = typ(file_values[name])
+                value = typ(value)
             except ValueError:
-                raise ConfigError(
-                    f"config key {name!r}: cannot parse {file_values[name]!r} as {typ.__name__}"
-                ) from None
-        else:
-            merged[name] = default
-    for name in _REQUIRED[args.command]:
-        if merged[name] is None:
-            raise ConfigError(f"missing required option --{name.replace('_', '-')}")
+                raise ConfigError(f"{flag}: cannot parse {value!r} as {typ.__name__}") from None
+        merged[name] = value
     return merged
 
 
@@ -255,6 +242,8 @@ def cmd_evaluate(opts: dict) -> int:
     split = opts["split"]
     if split not in ("train", "val", "test", "all"):
         raise ConfigError(f"unknown split {split!r}")
+    if opts["base_auc"] is not None and not 0.5 < opts["base_auc"] <= 1.0:
+        raise ConfigError(f"base_auc must be in (0.5, 1], got {opts['base_auc']}")
     params, config, header, schema, vocab, dataset = _load_model_inputs(opts)
     if split != "all":
         seed = opts["seed"] if opts["seed"] is not None else header["seed"]
@@ -354,9 +343,8 @@ def _reuse_freed_memory() -> None:
 
 def main(argv=None) -> int:
     _reuse_freed_memory()
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         opts = resolve_options(args)
         return _HANDLERS[args.command](opts)
     except (ConfigError, OSError) as exc:  # an OSError names its path

@@ -45,9 +45,9 @@ class FieldSchema:
 def make_schema(fields: list[tuple[str, str]]) -> list[FieldSchema]:
     """Build a schema from (name, kind) pairs in column order."""
     schema = [FieldSchema(name, kind, pos + 1) for pos, (name, kind) in enumerate(fields)]
-    names = [f.name for f in schema]
-    if len(set(names)) != len(names):
-        raise DataError("field names must be unique")
+    repeated = [name for name, n in Counter(f.name for f in schema).items() if n > 1]
+    if repeated:
+        raise DataError(f"field names must be unique: {repeated[0]!r} repeats")
     return schema
 
 
@@ -74,7 +74,10 @@ def load_schema(path: str) -> list[FieldSchema]:
         pairs.append((parts[0], parts[1]))
     if not pairs:
         raise DataError(f"{path}: empty schema file")
-    return make_schema(pairs)
+    try:
+        return make_schema(pairs)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 @dataclass

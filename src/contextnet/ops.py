@@ -100,15 +100,10 @@ _MASK = 0xFFFFFFFFFFFFFFFF
 
 def _splitmix64(seed: int, n: int) -> np.ndarray:
     """Expand one 64-bit seed into n well-mixed words (state seeding only)."""
-    out = np.empty(n, dtype=np.uint64)
-    s = seed & _MASK
-    for i in range(n):
-        s = (s + 0x9E3779B97F4A7C15) & _MASK
-        z = s
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        out[i] = z ^ (z >> 31)
-    return out
+    z = _U64(seed & _MASK) + np.arange(1, n + 1, dtype=_U64) * _U64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
+    return z ^ (z >> _U64(31))
 
 
 def mix_seed(*parts: int) -> int:

@@ -38,6 +38,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if not 0.0 < self.lr < float("inf"):
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if self.max_epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.max_epochs}")
         if self.patience < 0:
             raise ValueError("patience must be >= 0")
         if self.eval_every < 1:

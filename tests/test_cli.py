@@ -320,6 +320,24 @@ class TestEvaluateCommand:
         want = rela_imp(float(printed["auc"]), 0.7895) * 100
         assert printed["relaimp"] == f"{want:+.2f}%"
 
+    def test_seed_defaults_to_the_training_seed(self, synth_dir, run_dir, capsys):
+        """--seed 3, run_dir's training seed, prints what no --seed prints;
+        another seed scores another 10% of the rows."""
+        argv = [
+            "evaluate",
+            "--checkpoint", os.path.join(run_dir, "checkpoint.bin"),
+            "--vocab", os.path.join(run_dir, "vocab.txt"),
+            "--schema", os.path.join(synth_dir, "schema.tsv"),
+            "--data", os.path.join(synth_dir, "data.tsv"),
+            "--split", "test",
+        ]
+        outs = []
+        for seed in ([], ["--seed", "3"], ["--seed", "4"]):
+            assert main(argv + seed) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[1] == outs[0]
+        assert outs[2].split("\n")[0] != outs[0].split("\n")[0]
+
     def test_published_pair_formats_as_paper_column(self, synth_dir, run_dir, capsys):
         assert f"{rela_imp(0.8107, 0.7895) * 100:+.2f}%" == "+7.32%"
 
@@ -672,6 +690,50 @@ ERROR_CASES = {
         )
         for value in ("nan", "-1", "inf")
     },
+    # a value that is not a number gives the same line from a flag or a file
+    "epochs-not-int": (TRAIN + ["--epochs", "x"], 2, "--epochs: cannot parse 'x' as int"),
+    "epochs-not-int-in-config": (
+        TRAIN[:-2] + ["--config", "{epochs_config}"], 2, "--epochs: cannot parse 'x' as int"
+    ),
+    "alpha-not-float": (
+        ["explain", *MODEL, "--corpus", "norm", "--alpha", "ten"],
+        2,
+        "--alpha: cannot parse 'ten' as float",
+    ),
+    "unknown-flag": (TRAIN + ["--bogus", "1"], 2, "unrecognized arguments: --bogus 1"),
+    "ambiguous-flag": (
+        TRAIN + ["--e", "1"],
+        2,
+        "ambiguous option: --e could match --embed-dim, --epochs, --eval-every",
+    ),
+    "no-subcommand": ([], 2, "the following arguments are required: command"),
+    # option rules are checked before any file is read: --data is missing
+    **{
+        f"epochs-{value}": (
+            TRAIN + ["--epochs", value, "--data", "{missing}"],
+            2,
+            f"epochs must be >= 1, got {value}",
+        )
+        for value in ("0", "-2")
+    },
+    **{
+        f"base-auc-{value}": (
+            ["evaluate", *MODEL, "--data", "{missing}", "--base-auc", value],
+            2,
+            f"base_auc must be in (0.5, 1], got {float(value)}",
+        )
+        for value in ("0.4", "nan", "inf")
+    },
+    "schema-unknown-kind": (
+        TRAIN + ["--schema", "{kind_schema}"],
+        3,
+        "{kind_schema}: field 'b': unknown kind 'cats'",
+    ),
+    "schema-repeated-name": (
+        TRAIN + ["--schema", "{repeat_schema}"],
+        3,
+        "{repeat_schema}: field names must be unique: 'a' repeats",
+    ),
 }
 
 
@@ -685,6 +747,9 @@ def error_paths(tmp_path_factory, synth_dir, run_dir):
     vocab = open(os.path.join(run_dir, "vocab.txt"), "rb").read()
     (d / "vocab.txt").write_bytes(vocab + b"c0\t\xff\xfe\t99\n")
     (d / "run.conf").write_bytes(b"epochs = 1\n# \xff\xfe\n")
+    (d / "epochs.conf").write_text("epochs = x\n")
+    (d / "kind.tsv").write_text("a\tcat\nb\tcats\n")
+    (d / "repeat.tsv").write_text("a\tcat\nb\tnum\na\tcat\n")
     return {
         "data": os.path.join(synth_dir, "data.tsv"),
         "schema": os.path.join(synth_dir, "schema.tsv"),
@@ -698,12 +763,15 @@ def error_paths(tmp_path_factory, synth_dir, run_dir):
         "bad_schema": str(d / "schema.tsv"),
         "bad_vocab": str(d / "vocab.txt"),
         "bad_config": str(d / "run.conf"),
+        "epochs_config": str(d / "epochs.conf"),
+        "kind_schema": str(d / "kind.tsv"),
+        "repeat_schema": str(d / "repeat.tsv"),
     }
 
 
 class TestErrorTable:
-    """Each path or option error ends in its exit code and one stderr line,
-    without a traceback, also under `python -O`."""
+    """Each path, option or command-line error ends in its exit code and one
+    stderr line, without a usage block or a traceback, also under `python -O`."""
 
     @staticmethod
     def case(name, paths):
@@ -722,6 +790,13 @@ class TestErrorTable:
         argv, code, line = self.case(name, error_paths)
         result = run_optimized(argv)
         assert (result.returncode, result.stderr) == (code, line + "\n")
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--help"])
+    assert exc.value.code == 0
+    assert "--epochs EPOCHS" in capsys.readouterr().out
 
 
 class TestScoringChunks:

@@ -126,7 +126,7 @@ class TestSchema:
         assert [f.position for f in schema] == [1, 2, 3]
 
     def test_duplicate_names_rejected(self):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="'a' repeats"):
             make_schema([("a", "cat"), ("a", "num")])
 
     def test_unknown_kind_rejected(self):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from contextnet.ops import (
     Rng,
+    _splitmix64,
     layer_norm,
     layer_norm_backward,
     logit,
@@ -145,7 +146,24 @@ class TestSigmoid:
             assert abs(sigmoid(logit(p)) - p) < 1e-12
 
 
+def splitmix64_loop(seed, n):
+    """Reference splitmix64: one word per step of masked Python integers."""
+    mask = (1 << 64) - 1
+    out, s = [], seed & mask
+    for _ in range(n):
+        s = (s + 0x9E3779B97F4A7C15) & mask
+        z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
 class TestRng:
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 123, 0xDEADBEEFCAFEBABE])
+    @pytest.mark.parametrize("n", [1, 5, 4096])
+    def test_splitmix64_matches_loop(self, seed, n):
+        assert _splitmix64(seed, n).tolist() == splitmix64_loop(seed, n)
+
     def test_same_seed_same_sequence(self):
         a = Rng(123).uint64(5000)
         b = Rng(123).uint64(5000)
