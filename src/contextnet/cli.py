@@ -11,6 +11,7 @@ import argparse
 import ctypes
 import math
 import os
+import re
 import sys
 from itertools import zip_longest
 
@@ -34,6 +35,11 @@ class ConfigError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # every option takes a value and no flag starts with a digit: -1e-4 is a value
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):  # one line and exit 2, not a usage block
         raise ConfigError(message)
 
@@ -76,13 +82,11 @@ _OPTS = {
         ("batch_size", int, 1024, "mini-batch size"),
         ("lr", float, 1e-4, "Adam learning rate"),
         ("epochs", int, 20, "maximum training epochs"),
-        ("patience", int, 2, "non-improving evaluations tolerated before stopping"),
-        ("eval_every", int, 1, "evaluate every n-th epoch"),
+        ("patience", int, 2, "non-improving epochs tolerated before stopping"),
     ],
     "evaluate": [
         *_MODEL_INPUT_OPTS,
         ("split", str, "all", "which 8:1:1 part to score: train | val | test | all"),
-        ("seed", int, None, "split seed (default: the checkpoint's training seed)"),
         ("base_auc", float, None, "baseline AUC for relative improvement"),
     ],
     "explain": [
@@ -91,7 +95,6 @@ _OPTS = {
         ("corpus", str, None, "corpus importance mode: sum | norm"),
         ("alpha", float, 10.0, "frequency damping for norm mode"),
         ("top", int, 20, "rows to print in corpus mode (0 = all)"),
-        ("out", str, None, "also write the report to this file"),
     ],
 }
 
@@ -166,7 +169,6 @@ def cmd_train(opts: dict) -> int:
             max_epochs=opts["epochs"],
             patience=opts["patience"],
             seed=opts["seed"],
-            eval_every=opts["eval_every"],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -245,10 +247,9 @@ def cmd_evaluate(opts: dict) -> int:
     if opts["base_auc"] is not None and not 0.5 < opts["base_auc"] <= 1.0:
         raise ConfigError(f"base_auc must be in (0.5, 1], got {opts['base_auc']}")
     params, config, header, schema, vocab, dataset = _load_model_inputs(opts)
-    if split != "all":
-        seed = opts["seed"] if opts["seed"] is not None else header["seed"]
-        parts = dict(zip(("train", "val", "test"), dt.split_indices(len(dataset), seed)))
-        dataset = dataset.take(parts[split])
+    if split != "all":  # a part of the run's own split, by its training seed
+        parts = dt.split_indices(len(dataset), header["seed"])
+        dataset = dataset.take(parts[("train", "val", "test").index(split)])
     dataset.require_both_classes(f"{opts['data']} (split {split})")
     scores = predict_scores(dataset, params, config)
     split_auc = auc(scores, dataset.labels)
@@ -303,11 +304,7 @@ def cmd_explain(opts: dict) -> int:
             "{}\t{}\t{}\t{:.10f}".format(schema[i].name, tables[i][j], n, score)
             for i, j, n, score in zip(*(a[:top].tolist() for a in ranked))
         )
-    text = "\n".join(lines) + "\n"
-    print(text, end="")
-    if opts["out"] is not None:
-        with open(opts["out"], "w", encoding="utf-8") as fh:
-            fh.write(text)
+    print("\n".join(lines))
     return EXIT_OK
 
 

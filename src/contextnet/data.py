@@ -295,12 +295,12 @@ def load_vocabulary(path: str) -> Vocabulary:
         raise DataError(f"{path}: not a version-{_VOCAB_VERSION} vocabulary file")
     section = None
     for lineno, line in lines:
-        if line.startswith("#"):
+        if line in ("#tokens", "#numeric-stats"):  # a field name may start with '#'
             section = line
             continue
-        parts = line.split("\t")
-        if section not in ("#tokens", "#numeric-stats"):
+        if section is None:
             raise DataError(f"{path}:{lineno}: line outside a known section")
+        parts = line.split("\t")
         if len(parts) != 3:
             raise DataError(f"{path}:{lineno}: expected 3 columns, got {len(parts)}")
         try:

@@ -31,7 +31,6 @@ class TrainConfig:
     max_epochs: int = 20
     patience: int = 2
     seed: int = 0
-    eval_every: int = 1
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -42,8 +41,6 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.max_epochs}")
         if self.patience < 0:
             raise ValueError("patience must be >= 0")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be >= 1")
 
 
 @dataclass
@@ -76,14 +73,14 @@ def calibration_warning(history: TrainHistory, val_labels: np.ndarray) -> str | 
     the label-entropy prior of the validation split, else None: epochs are
     kept by AUC alone, so a kept model can be calibrated worse than scoring
     every row at the base rate."""
-    kept = [e.val_logloss for e in history.epochs if e.epoch == history.best_epoch]
+    kept = history.epochs[history.best_epoch].val_logloss
     p = float(np.mean(val_labels))
     prior = -(p * np.log(p) + (1.0 - p) * np.log1p(-p)) if 0.0 < p < 1.0 else 0.0
-    if not kept or not kept[0] > prior:
+    if not kept > prior:
         return None
     return (
         f"warning: kept epoch {history.best_epoch} has validation log loss "
-        f"{kept[0]:.6f}, above the label-entropy prior {prior:.6f} of the validation split"
+        f"{kept:.6f}, above the label-entropy prior {prior:.6f} of the validation split"
     )
 
 
@@ -138,17 +135,16 @@ def train(
 ) -> tuple[Params, TrainHistory]:
     """Epoch loop: shuffled batches, Adam updates, validation-AUC stopping.
 
-    Keeps a copy of the parameters at the best validation AUC and stops once
-    more than `patience` consecutive evaluations fail to improve (patience 0
-    stops at the first non-improving evaluation). Fully deterministic for a
-    fixed (seed, configs, data). A validation set of one class is rejected
-    before the first epoch, since its AUC is undefined.
+    Validates after every epoch, keeps a copy of the parameters at the best
+    validation AUC and stops once more than `patience` consecutive epochs
+    fail to improve (patience 0 stops at the first non-improving epoch).
+    Fully deterministic for a fixed (seed, configs, data). A validation set
+    of one class is rejected before the first epoch: its AUC is undefined.
     """
     val_set.require_both_classes("the validation split")
     state = init_adam(params, tconf.lr)
-    history = TrainHistory()
+    history = TrainHistory(best_val_auc=-np.inf)
     best = {name: a.copy() for name, a in params.items()}
-    best_auc = -np.inf
     stale = 0
     for epoch in range(tconf.max_epochs):
         t0 = time.perf_counter()
@@ -165,27 +161,19 @@ def train(
             n_batches += 1
         train_loss = loss_sum / max(n_batches, 1)
 
-        evaluate_now = ((epoch + 1) % tconf.eval_every == 0) or (
-            epoch == tconf.max_epochs - 1
-        )
-        val_auc = float("nan")
-        val_ll = float("nan")
-        if evaluate_now:
-            val_scores = predict_scores(val_set, params, config)
-            val_auc = auc(val_scores, val_set.labels)
-            val_ll = logloss(val_scores, val_set.labels)
+        val_scores = predict_scores(val_set, params, config)
+        val_auc = auc(val_scores, val_set.labels)
+        val_ll = logloss(val_scores, val_set.labels)
         history.epochs.append(
             EpochStats(epoch, train_loss, val_auc, val_ll, time.perf_counter() - t0)
         )
-        if evaluate_now:
-            if val_auc > best_auc:
-                best_auc = val_auc
-                best = {name: a.copy() for name, a in params.items()}
-                history.best_epoch = epoch
-                history.best_val_auc = val_auc
-                stale = 0
-            else:
-                stale += 1
-                if stale > tconf.patience:
-                    break
+        if val_auc > history.best_val_auc:
+            best = {name: a.copy() for name, a in params.items()}
+            history.best_epoch = epoch
+            history.best_val_auc = val_auc
+            stale = 0
+        else:
+            stale += 1
+            if stale > tconf.patience:
+                break
     return best, history

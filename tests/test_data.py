@@ -309,6 +309,18 @@ class TestFiles:
         assert loaded.tokens == vocab.tokens
         assert loaded.numeric_stats == vocab.numeric_stats
 
+    def test_vocabulary_roundtrip_with_hash_field_names(self, tmp_path):
+        """Only the exact section lines open a section: a field name may
+        start with '#'."""
+        schema = make_schema([("#user", "cat"), ("#age", "num")])
+        vocab = vocab_of([["1", "u1", "30"], ["0", "u2", "41.5"]], schema)
+        path = str(tmp_path / "vocab.txt")
+        save_vocabulary(vocab, path)
+        loaded = load_vocabulary(path)
+        assert loaded.tokens == vocab.tokens == {"#user": {"u1": 1, "u2": 2}}
+        assert loaded.numeric_stats == vocab.numeric_stats
+        assert list(loaded.numeric_stats) == ["#age"]
+
     def test_token_table_follows_indices_not_file_order(self, schema, tmp_path):
         path = tmp_path / "vocab.txt"
         path.write_text(

@@ -1,0 +1,87 @@
+"""Mutated input files: each loader raises only its documented errors.
+
+A small valid schema, data file, vocabulary and checkpoint are cut at any
+offset, or have any one byte replaced. Loading the result may succeed, or
+raise DataError, CheckpointError or OSError, and nothing else. Checkpoint
+tensors carry no checksum, so a changed tensor byte that leaves the value
+finite loads silently: these tests pin that no other exception escapes,
+not that every corruption is caught.
+"""
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from contextnet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from contextnet.data import (
+    DataError,
+    build_vocabulary,
+    cardinalities,
+    encode_dataset,
+    load_records,
+    load_schema,
+    load_vocabulary,
+    save_vocabulary,
+)
+from contextnet.model import ModelConfig, init_params
+
+SCHEMA = "user\tcat\nage\tnum\nitem\tcat\n"
+DATA = "".join(  # every fourth age is missing
+    f"{i % 2}\tu{i % 3}\t{i * 1.5 if i % 4 else ''}\tt{i % 5}\n" for i in range(12)
+)
+
+# file name -> the load it is read by, given the good schema and vocabulary
+LOADERS = {
+    "schema.tsv": lambda path, schema, vocab: load_schema(path),
+    "data.tsv": lambda path, schema, vocab: encode_dataset(
+        load_records(path, schema), schema, vocab
+    ),
+    "vocab.txt": lambda path, schema, vocab: load_vocabulary(path),
+    "checkpoint.bin": lambda path, schema, vocab: load_checkpoint(path),
+}
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """The good files' bytes, their schema and vocabulary, and a scratch
+    directory for the mutated copies."""
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "schema.tsv").write_text(SCHEMA)
+    (d / "data.tsv").write_text(DATA)
+    schema = load_schema(str(d / "schema.tsv"))
+    columns = load_records(str(d / "data.tsv"), schema)
+    vocab = build_vocabulary(columns, schema, range(len(columns[0])))
+    save_vocabulary(vocab, str(d / "vocab.txt"))
+    cards = cardinalities(schema, vocab)
+    config = ModelConfig(n_fields=len(schema), embed_dim=2, agg_width=2, n_blocks=1)
+    save_checkpoint(
+        str(d / "checkpoint.bin"),
+        init_params(config, cards, seed=0),
+        config,
+        cards,
+        [(f.name, f.kind) for f in schema],
+        seed=0,
+    )
+    blobs = {name: (d / name).read_bytes() for name in LOADERS}
+    return blobs, schema, vocab, d
+
+
+@pytest.mark.parametrize("name", LOADERS)
+def test_good_file_loads(inputs, name):
+    blobs, schema, vocab, d = inputs
+    LOADERS[name](str(d / name), schema, vocab)
+
+
+@pytest.mark.parametrize("name", LOADERS)
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_cut_or_changed_file_raises_only_input_errors(inputs, name, data):
+    blobs, schema, vocab, d = inputs
+    blob = blobs[name]
+    at = data.draw(st.integers(0, len(blob) - 1), label="offset")
+    byte = data.draw(st.none() | st.integers(0, 255), label="new byte (None: cut)")
+    path = d / ("mutated-" + name)
+    path.write_bytes(blob[:at] if byte is None else blob[:at] + bytes([byte]) + blob[at + 1 :])
+    try:
+        LOADERS[name](str(path), schema, vocab)
+    except (DataError, CheckpointError, OSError):
+        pass

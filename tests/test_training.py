@@ -168,16 +168,6 @@ class TestTrainLoop:
         with pytest.raises(DataError, match="one class"):
             train(CFG, params, ds, negatives, tconf)
 
-    def test_eval_cadence_skips_epochs(self):
-        ds = _linearly_separable(200, seed=12)
-        params = init_params(CFG, CARDS, seed=12)
-        tconf = TrainConfig(
-            batch_size=64, lr=1e-3, max_epochs=4, patience=5, seed=12, eval_every=2
-        )
-        _, history = train(CFG, params, ds, ds, tconf)
-        evaluated = [not np.isnan(e.val_auc) for e in history.epochs]
-        assert evaluated == [False, True, False, True]
-
     def test_history_tsv_format(self):
         ds = _linearly_separable(200, seed=13)
         params = init_params(CFG, CARDS, seed=13)
@@ -209,9 +199,6 @@ class TestCalibrationWarning:
     def test_kept_epoch_below_prior_is_silent(self):
         # a later epoch above the prior does not matter: it was not kept
         assert calibration_warning(self.history([0.55, 0.60], 0), self.LABELS) is None
-
-    def test_no_kept_epoch_is_silent(self):
-        assert calibration_warning(TrainHistory(), self.LABELS) is None
 
     def test_train_command_prints_it_on_stderr_only(self, tmp_path, capsys, monkeypatch):
         """The line goes to stderr; stdout stays the same."""
@@ -245,5 +232,3 @@ class TestTrainConfig:
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
             TrainConfig(patience=-1)
-        with pytest.raises(ValueError):
-            TrainConfig(eval_every=0)
