@@ -37,8 +37,9 @@ class ConfigError(ValueError):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # every option takes a value and no flag starts with a digit: -1e-4 is a value
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        # every option takes a value and no flag starts with a digit, "inf" or
+        # "nan": -1e-4 and -Infinity are values
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):  # one line and exit 2, not a usage block
         raise ConfigError(message)
@@ -93,8 +94,8 @@ _OPTS = {
         *_MODEL_INPUT_OPTS,
         ("instance", int, None, "explain the n-th record (0-based)"),
         ("corpus", str, None, "corpus importance mode: sum | norm"),
-        ("alpha", float, 10.0, "frequency damping for norm mode"),
-        ("top", int, 20, "rows to print in corpus mode (0 = all)"),
+        ("alpha", float, None, "frequency damping for norm mode (default 10)"),
+        ("top", int, None, "rows to print in corpus mode (default 20, 0 = all)"),
     ],
 }
 
@@ -266,12 +267,18 @@ def cmd_explain(opts: dict) -> int:
     if (opts["instance"] is None) == (opts["corpus"] is None):
         raise ConfigError("pass exactly one of --instance or --corpus")
     mode = opts["corpus"]
-    if mode not in (None, itp.IMPORTANCE_SUM, itp.IMPORTANCE_NORM):
+    if mode is None:
+        given = [f"--{name}" for name in ("alpha", "top") if opts[name] is not None]
+        if given:
+            raise ConfigError(f"only --corpus takes {' and '.join(given)}")
+    elif mode not in (itp.IMPORTANCE_SUM, itp.IMPORTANCE_NORM):
         raise ConfigError(f"unknown corpus mode {mode!r}")
-    if not 0.0 <= opts["alpha"] < math.inf:
-        raise ConfigError(f"alpha must be finite and >= 0, got {opts['alpha']}")
-    if opts["top"] < 0:
-        raise ConfigError(f"top must be >= 0, got {opts['top']}")
+    alpha = 10.0 if opts["alpha"] is None else opts["alpha"]
+    top = 20 if opts["top"] is None else opts["top"]
+    if not 0.0 <= alpha < math.inf:
+        raise ConfigError(f"alpha must be finite and >= 0, got {alpha}")
+    if top < 0:
+        raise ConfigError(f"top must be >= 0, got {top}")
     params, config, header, schema, vocab, dataset = _load_model_inputs(opts)
     tables = [vocab.token_table(f) for f in schema]
     lines = []
@@ -296,9 +303,9 @@ def cmd_explain(opts: dict) -> int:
                 lines.append("\t".join(f"{v:+.6f}" for v in row))
     else:
         ranked = itp.corpus_feature_importance(
-            params, config, dataset, schema, tables, mode=mode, alpha=opts["alpha"]
+            params, config, dataset, schema, tables, mode=mode, alpha=alpha
         )
-        top = opts["top"] or None  # 0 prints every row
+        top = top or None  # 0 prints every row
         lines.append("field\ttoken\tcount\tscore")
         lines.extend(
             "{}\t{}\t{}\t{:.10f}".format(schema[i].name, tables[i][j], n, score)

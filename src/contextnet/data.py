@@ -2,17 +2,22 @@
 
 Input data is header-less tab-separated text: column 0 is the binary label,
 the remaining columns follow the schema file order. An empty string means a
-missing value. A file is read and encoded column by column, once; splits are
-index arrays into it. Vocabularies are built from the training rows only.
-Schema, data and vocabulary files are UTF-8 text, read by text_lines.
-Errors name a record by its 0-based row in the file.
+missing value. A data file is read CHUNK_LINES lines at a time, and each
+column of a chunk is parsed once into arrays (labels, numbers, or int32 codes
+of tokens) before the chunk's strings are dropped, so memory is bounded by
+one chunk plus the arrays. Vocabularies are built from the codes of the
+training rows only, and encoding maps codes to vocabulary indices by
+gather; splits are index arrays into the encoded file. Schema, data and
+vocabulary files are UTF-8 text. Errors name a record by its 0-based row in
+the file; a file with several bad cells or rows reports the first in file
+order.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import count, islice, repeat
 
 import numpy as np
 
@@ -25,6 +30,8 @@ OOV_INDEX = 0
 
 _SPLIT_SALT = 0x5911
 _BATCH_SALT = 0xBA7C
+
+CHUNK_LINES = 8192  # data-file lines read, split and coded at a time
 
 
 class DataError(ValueError):
@@ -51,18 +58,28 @@ def make_schema(fields: list[tuple[str, str]]) -> list[FieldSchema]:
     return schema
 
 
-def text_lines(path: str, error: type[Exception] = DataError):
-    """Yield (line number, line) for each non-empty line of a UTF-8 text
-    file, without its newline. A byte sequence that is not UTF-8 raises
-    `error` naming the file."""
+def text_chunks(path: str, size: int, error: type[Exception] = DataError):
+    """Yield (number of the first line, lines) for each run of `size` lines
+    of a UTF-8 text file; each line keeps its newline. A byte sequence that
+    is not UTF-8 raises `error` naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
+        lineno = 1
         try:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if line:
-                    yield lineno, line
+            while lines := list(islice(fh, size)):
+                yield lineno, lines
+                lineno += len(lines)
         except UnicodeDecodeError as exc:
             raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def text_lines(path: str, error: type[Exception] = DataError):
+    """Yield (line number, line) for each non-empty line of a UTF-8 text
+    file, without its newline."""
+    for first, lines in text_chunks(path, CHUNK_LINES, error):
+        for lineno, line in enumerate(lines, start=first):
+            line = line.rstrip("\n")
+            if line:
+                yield lineno, line
 
 
 def load_schema(path: str) -> list[FieldSchema]:
@@ -104,6 +121,105 @@ class Vocabulary:
         return table
 
 
+_LABELS = {"0": 0.0, "1": 1.0}
+
+
+def load_records(path: str, schema: list[FieldSchema]) -> list:
+    """Read a tab-separated data file CHUNK_LINES lines at a time.
+
+    Returns the file column by column: len(schema) + 1 entries, column 0
+    the labels as float64. A categorical field's column is (codes, tokens):
+    int32 codes into its tokens, listed in first-seen file order, with the
+    missing value "" always code 0. A numerical field's column is (values,
+    present): float64 values, 0.0 where missing, and the mask of
+    non-missing cells.
+
+    Blank lines are skipped. A line whose column count is not len(schema) + 1
+    raises DataError naming path:lineno; a label other than 0 or 1, or a
+    numerical cell that is not a finite number, raises DataError naming its
+    record and field. The first such error in file order is the one raised.
+    """
+    want = len(schema) + 1
+    # per categorical field, token -> 1 + the row it first appears in ("" -> 0);
+    # a token's code, in first-seen file order, is the rank of this key
+    seen = [{"": 0} if f.kind == CATEGORICAL else None for f in schema]
+    parts = [[] for _ in range(want)]  # per column, the arrays of each chunk
+    n = 0
+    for first, lines in text_chunks(path, CHUNK_LINES):
+        rows = list(filter("\n".__ne__, lines))  # blank lines are no records
+        tabs = list(map(str.count, rows, repeat("\t")))
+        good = len(rows)
+        if tabs.count(want - 1) != good:
+            good = next(j for j, t in enumerate(tabs) if t != want - 1)
+        if good:
+            cells = "\t".join(map(str.rstrip, rows[:good], repeat("\n"))).split("\t")
+            for column, array in zip(parts, _code_chunk(cells, schema, seen, n)):
+                column.append(array)
+            n += good
+        if good < len(rows):
+            lineno = first + [i for i, line in enumerate(lines) if line != "\n"][good]
+            raise DataError(f"{path}:{lineno}: expected {want} columns, got {tabs[good] + 1}")
+    if n == 0:
+        raise DataError(f"{path}: no records")
+    columns = [np.concatenate(parts[0])]
+    for f, column, keys in zip(schema, parts[1:], seen):
+        if f.kind == CATEGORICAL:
+            rank = np.empty(n + 1, np.int32)
+            rank[np.fromiter(keys.values(), np.int32, len(keys))] = np.arange(len(keys))
+            columns.append((rank[np.concatenate(column)], list(keys)))
+        else:
+            columns.append(tuple(map(np.concatenate, zip(*column))))
+        column.clear()
+    return columns
+
+
+def _code_chunk(cells: list[str], schema, seen: list, first_row: int) -> list:
+    """The arrays of one chunk's columns, from its cells in row-major order:
+    labels, then per field its cells' first-seen keys (new tokens join the
+    field's dict in `seen`) or (values, present). The first bad cell in file
+    order raises DataError."""
+    want = len(schema) + 1
+    m = len(cells) // want
+    bad = []  # (row in chunk, column, message)
+    labels = cells[0::want]
+    try:
+        out = [np.fromiter(map(_LABELS.__getitem__, labels), np.float64, m)]
+    except KeyError as exc:
+        j = labels.index(exc.args[0])
+        label = f"malformed label {exc.args[0]!r}: expected 0 or 1"
+        bad.append((j, 0, f"record {first_row + j}: {label}"))
+        out = [None]
+    for f, keys in zip(schema, seen):
+        column = cells[f.position :: want]
+        if f.kind == CATEGORICAL:
+            key_if_new = count(first_row + 1)
+            out.append(np.fromiter(map(keys.setdefault, column, key_if_new), np.int32, m))
+            continue
+        present = np.fromiter(map(bool, column), bool, m)
+        values = np.zeros(m)
+        try:
+            values[present] = np.fromiter(map(float, filter(None, column)), np.float64)
+            finite = np.isfinite(values).all()
+        except ValueError:
+            finite = False
+        if not finite:
+            j = next(j for j, cell in enumerate(column) if not _is_number(cell))
+            bad.append((j, f.position, f"record {first_row + j}, field {f.name!r}: "
+                        f"{column[j]!r} is not a finite number"))
+        out.append((values, present))
+    if bad:
+        raise DataError(min(bad)[2])
+    return out
+
+
+def _is_number(cell: str) -> bool:
+    """True for a missing cell or a finite number."""
+    try:
+        return not cell or math.isfinite(float(cell))
+    except ValueError:
+        return False
+
+
 def build_vocabulary(
     columns, schema: list[FieldSchema], rows, min_count: int = 1
 ) -> Vocabulary:
@@ -115,54 +231,31 @@ def build_vocabulary(
     Numerical fields get population mean/std over their non-missing values
     (Welford, in row order).
     """
-    rows = np.asarray(rows).tolist()
-    if not rows:
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.size == 0:
         raise DataError("empty training set")
     vocab = Vocabulary()
     for f in schema:
-        column = columns[f.position]
-        cells = [column[r] for r in rows]
         if f.kind == CATEGORICAL:
-            counts = Counter(cells)
-            counts.pop("", None)
-            kept = [token for token, cnt in counts.items() if cnt >= min_count]
-            vocab.tokens[f.name] = {token: i for i, token in enumerate(kept, start=1)}
+            codes, tokens = columns[f.position]
+            codes = codes[rows]
+            counts = np.bincount(codes, minlength=len(tokens))
+            first = np.full(len(tokens), rows.size)  # first position in split order
+            np.minimum.at(first, codes, np.arange(rows.size))
+            counts[0] = 0  # code 0 is the missing value
+            kept = np.flatnonzero(counts >= max(min_count, 1))
+            kept = kept[np.argsort(first[kept])].tolist()
+            vocab.tokens[f.name] = {tokens[c]: i for i, c in enumerate(kept, start=1)}
             continue
-        x, present = _numbers(cells, rows, f.name)
+        values, present = columns[f.position]
         n, mean, m2 = 0, 0.0, 0.0
-        for v in x[present].tolist():
+        for v in values[rows[present[rows]]].tolist():
             n += 1
             delta = v - mean
             mean += delta / n
             m2 += delta * (v - mean)
         vocab.numeric_stats[f.name] = (mean, math.sqrt(m2 / n) if n > 0 else 0.0)
     return vocab
-
-
-def _to_float(cell: str) -> float:
-    """float(cell); 0.0 for a missing cell, NaN for text that is not a number."""
-    try:
-        return float(cell) if cell else 0.0
-    except ValueError:
-        return math.nan
-
-
-def _numbers(cells, rows, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Parse a numerical field: float() of each cell (0.0 where missing) and
-    the mask of non-missing cells.
-
-    A cell that is not a number, or not a finite one, raises DataError naming
-    its file row (rows[j] for cells[j]) and the field.
-    """
-    n = len(cells)
-    x = np.fromiter(map(_to_float, cells), dtype=np.float64, count=n)
-    bad = np.flatnonzero(~np.isfinite(x))
-    if bad.size:
-        j = bad[0]
-        raise DataError(
-            f"record {rows[j]}, field {name!r}: {cells[j]!r} is not a finite number"
-        )
-    return x, np.fromiter(map(bool, cells), dtype=bool, count=n)
 
 
 @dataclass
@@ -186,43 +279,31 @@ class EncodedDataset:
             raise DataError(f"{what} holds only one class, so AUC is undefined")
 
 
-_LABELS = {"0": 0.0, "1": 1.0}
-
-
 def encode_dataset(
     columns, schema: list[FieldSchema], vocab: Vocabulary
 ) -> EncodedDataset:
     """Map every row of a file (as load_records returns it) to (index,
     value) pairs in schema order, one field at a time.
 
-    Categorical: (vocab index, 1.0), OOV/missing -> index 0. Numerical:
-    (index 0, standardized value), missing -> value 0.0. Errors name the
-    record's file row.
+    Categorical: (vocab index, 1.0), OOV/missing -> index 0; each field's
+    codes take their indices by one gather. Numerical: (index 0,
+    standardized value), missing -> value 0.0.
     """
     n = len(columns[0])
-    if n == 0:
-        raise DataError("no records to encode")
-    try:
-        labels = np.fromiter(map(_LABELS.__getitem__, columns[0]), np.float64, n)
-    except KeyError as exc:
-        row = columns[0].index(exc.args[0])
-        raise DataError(
-            f"record {row}: malformed label {exc.args[0]!r}: expected 0 or 1"
-        ) from None
     indices = np.zeros((n, len(schema)), dtype=np.int64)
     values = np.ones((n, len(schema)), dtype=np.float64)
     for i, f in enumerate(schema):
-        cells = columns[f.position]
         if f.kind == CATEGORICAL:
-            lookup = {**vocab.tokens[f.name], "": OOV_INDEX}
-            indices[:, i] = np.fromiter(
-                map(lookup.get, cells, repeat(OOV_INDEX)), np.int64, n
-            )
+            codes, tokens = columns[f.position]
+            lookup = vocab.tokens[f.name]
+            index_of = np.fromiter(map(lookup.get, tokens, repeat(OOV_INDEX)), np.int64)
+            index_of[0] = OOV_INDEX  # code 0 is the missing value
+            indices[:, i] = index_of[codes]
         else:
-            x, present = _numbers(cells, range(n), f.name)
+            x, present = columns[f.position]
             mean, std = vocab.numeric_stats[f.name]
             values[:, i] = np.where(present, (x - mean) / max(std, 1e-12), 0.0)
-    return EncodedDataset(labels, indices, values)
+    return EncodedDataset(columns[0], indices, values)
 
 
 def split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -252,24 +333,6 @@ def batch_iter(dataset: EncodedDataset, batch_size: int, seed: int, epoch: int =
     perm = Rng(mix_seed(seed, epoch, _BATCH_SALT)).permutation(n)
     for start in range(0, n, batch_size):
         yield dataset.take(perm[start : start + batch_size])
-
-
-def load_records(path: str, schema: list[FieldSchema]) -> list[list[str]]:
-    """Read a tab-separated data file, checking the column count per row.
-
-    Returns the file column by column: len(schema) + 1 lists of strings,
-    column 0 holding the labels.
-    """
-    want = len(schema) + 1
-    records = []
-    for lineno, line in text_lines(path):
-        cols = line.split("\t")
-        if len(cols) != want:
-            raise DataError(f"{path}:{lineno}: expected {want} columns, got {len(cols)}")
-        records.append(cols)
-    if not records:
-        raise DataError(f"{path}: no records")
-    return [[cols[i] for cols in records] for i in range(want)]
 
 
 _VOCAB_MAGIC = "#contextnet-vocab"

@@ -704,6 +704,25 @@ ERROR_CASES = {
         "unrecognized arguments: --out {out}",
     ),
     "no-subcommand": ([], 2, "the following arguments are required: command"),
+    # corpus-only options are refused with --instance, from a flag or a file
+    "explain-instance-alpha-top": (
+        ["explain", *MODEL, "--instance", "0", "--alpha", "99", "--top", "1"],
+        2,
+        "only --corpus takes --alpha and --top",
+    ),
+    "explain-instance-top-in-config": (
+        ["explain", *MODEL, "--instance", "0", "--config", "{top_config}"],
+        2,
+        "only --corpus takes --top",
+    ),
+    # a negative number spelled as a word is a value, not a flag
+    "l2-minus-inf": (TRAIN + ["--l2", "-inf"], 2, "l2 must be finite and >= 0, got -inf"),
+    "lr-minus-nan": (TRAIN + ["--lr", "-NaN"], 2, "lr must be finite and > 0, got nan"),
+    "top-minus-infinity": (
+        ["explain", *MODEL, "--corpus", "norm", "--top", "-Infinity"],
+        2,
+        "--top: cannot parse '-Infinity' as int",
+    ),
     # option rules are checked before any file is read: --data is missing
     **{
         f"epochs-{value}": (
@@ -746,6 +765,7 @@ def error_paths(tmp_path_factory, synth_dir, run_dir):
     (d / "run.conf").write_bytes(b"epochs = 1\n# \xff\xfe\n")
     (d / "epochs.conf").write_text("epochs = x\n")
     (d / "eval_every.conf").write_text("eval_every = 2\n")
+    (d / "top.conf").write_text("top = 1\n")
     (d / "kind.tsv").write_text("a\tcat\nb\tcats\n")
     (d / "repeat.tsv").write_text("a\tcat\nb\tnum\na\tcat\n")
     return {
@@ -763,6 +783,7 @@ def error_paths(tmp_path_factory, synth_dir, run_dir):
         "bad_config": str(d / "run.conf"),
         "epochs_config": str(d / "epochs.conf"),
         "eval_every_config": str(d / "eval_every.conf"),
+        "top_config": str(d / "top.conf"),
         "kind_schema": str(d / "kind.tsv"),
         "repeat_schema": str(d / "repeat.tsv"),
     }

@@ -1,13 +1,18 @@
 """Feature pipeline tests: vocabularies, encoding, splits, batching, files."""
 import math
+import os
 import struct
+import tempfile
+import tracemalloc
 from collections import namedtuple
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contextnet import data
 from contextnet.data import (
     CATEGORICAL,
     DataError,
@@ -36,14 +41,27 @@ def rec(label, color, size, shape):
     return [label, color, size, shape]
 
 
-def table(records):
-    """Records (rows of strings) as the columns load_records returns."""
-    return list(zip(*records))
+def write_records(path, records, blank_every=0):
+    """Write records (rows of strings) as a data file; blank_every > 0 puts a
+    blank line before every blank_every-th record."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for i, record in enumerate(records):
+            if blank_every and i % blank_every == 0:
+                fh.write("\n")
+            fh.write("\t".join(record) + "\n")
+
+
+def table(records, schema, blank_every=0):
+    """Records (rows of strings) as load_records reads them from a file."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "data.tsv")
+        write_records(path, records, blank_every)
+        return load_records(path, schema)
 
 
 def vocab_of(records, schema, min_count=1):
     """The vocabulary of every record, in file order."""
-    return build_vocabulary(table(records), schema, range(len(records)), min_count)
+    return build_vocabulary(table(records, schema), schema, range(len(records)), min_count)
 
 
 Row = namedtuple("Row", "label indices values")
@@ -51,7 +69,7 @@ Row = namedtuple("Row", "label indices values")
 
 def encode_one(record, schema, vocab):
     """The one row encode_dataset makes of a one-record file."""
-    ds = encode_dataset(table([record]), schema, vocab)
+    ds = encode_dataset(table([record], schema), schema, vocab)
     return Row(int(ds.labels[0]), ds.indices[0], ds.values[0])
 
 
@@ -165,7 +183,7 @@ class TestBuildVocabulary:
 
     def test_empty_training_set_rejected(self, schema):
         with pytest.raises(DataError, match="empty"):
-            build_vocabulary(table([rec("0", "a", "1", "x")]), schema, [])
+            build_vocabulary(table([rec("0", "a", "1", "x")], schema), schema, [])
 
     def test_non_numeric_token_names_row_and_field(self, schema):
         records = [rec("0", "a", "1", "x"), rec("0", "a", "oops", "x")]
@@ -183,7 +201,7 @@ class TestBuildVocabulary:
         records[13][2] = "oops"
         rows = list(range(19, -1, -1))  # file row 13 is 7th in split order
         with pytest.raises(DataError, match=r"record 13, field 'size'"):
-            build_vocabulary(table(records), schema, rows)
+            build_vocabulary(table(records, schema), schema, rows)
 
 
 class TestEncodeInstance:
@@ -255,7 +273,7 @@ class TestSplits:
     def test_vocab_from_train_only_oov_for_unseen(self, schema):
         records = [rec("0", f"c{i}", str(i), "s") for i in range(20)]
         train, val, test = split_lists(20, seed=3)
-        vocab = build_vocabulary(table(records), schema, train)
+        vocab = build_vocabulary(table(records, schema), schema, train)
         train_tokens = {records[r][1] for r in train}
         for r in val + test:
             if records[r][1] not in train_tokens:
@@ -376,8 +394,12 @@ class TestFiles:
     def test_load_records_keeps_empty_strings(self, schema, tmp_path):
         path = tmp_path / "data.tsv"
         path.write_text("1\t\t\tsq\n")
-        columns = load_records(str(path), schema)
-        assert columns == [["1"], [""], [""], ["sq"]]
+        labels, (color, colors), (size, present), (shape, shapes) = load_records(
+            str(path), schema
+        )
+        assert [labels.tolist(), [colors[c] for c in color], present.tolist(),
+                [shapes[c] for c in shape]] == [[1.0], [""], [False], ["sq"]]
+        assert size.tolist() == [0.0]
 
     def test_cardinalities_requires_matching_vocab(self, schema):
         records = [rec("1", "red", "1", "sq")]
@@ -389,11 +411,40 @@ class TestFiles:
             cardinalities(schema, vocab)
 
 
+def test_ingestion_memory_is_bounded_by_the_encoded_size(tmp_path):
+    """load_records + build_vocabulary + encode_dataset of a 100k-row file of
+    the ML-1m shape (7 skewed categorical fields) allocate at most twice the
+    bytes of the EncodedDataset at their peak: no file's worth of strings."""
+    cards = (2, 7, 21, 500, 800, 18, 81)
+    n = 100_000
+    rng = np.random.default_rng(0)
+    columns = [rng.integers(0, 2, n).astype(str).tolist()]
+    for card in cards:
+        tokens = [f"{(k + card) * 2654435761 % 2**32:08x}" for k in range(card)]
+        weights = 1.0 / np.arange(1, card + 1)
+        draws = rng.choice(card, n, p=weights / weights.sum())
+        columns.append([tokens[k] for k in draws.tolist()])
+    path = tmp_path / "data.tsv"
+    path.write_text("".join("\t".join(row) + "\n" for row in zip(*columns)))
+    del columns
+    schema = make_schema([(f"f{i}", "cat") for i in range(len(cards))])
+    tracemalloc.start()
+    try:
+        records = load_records(str(path), schema)
+        vocab = build_vocabulary(records, schema, split_indices(n, 0)[0])
+        ds = encode_dataset(records, schema, vocab)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ds) == n
+    assert peak <= 2 * (ds.labels.nbytes + ds.indices.nbytes + ds.values.nbytes)
+
+
 class TestEncodeDataset:
     def test_shapes_and_order(self, schema):
         records = [rec("1", "red", "1", "sq"), rec("0", "blue", "2", "tri")]
         vocab = vocab_of(records, schema)
-        ds = encode_dataset(table(records), schema, vocab)
+        ds = encode_dataset(table(records, schema), schema, vocab)
         assert len(ds) == 2
         assert ds.labels.tolist() == [1.0, 0.0]
         assert ds.indices.shape == (2, 3)
@@ -409,7 +460,7 @@ class TestEncodeDataset:
         vocab = vocab_of(records, schema)
         records[7][column] = raw
         with pytest.raises(DataError, match=rf"record 7\b.*{what}"):
-            encode_dataset(table(records), schema, vocab)
+            encode_dataset(table(records, schema), schema, vocab)
 
 
 _KINDS = st.lists(st.sampled_from(["cat", "num"]), min_size=1, max_size=5)
@@ -441,27 +492,102 @@ def _float_bits(x):
     return struct.pack("<d", x)
 
 
+def check_against_reference(case, blank_every=0):
+    """load_records + build_vocabulary + encode_dataset equal the
+    record-at-a-time reference byte for byte."""
+    schema, records, rows, min_count = case
+    loaded = table(records, schema, blank_every)
+    vocab = build_vocabulary(loaded, schema, rows, min_count)
+    want = reference_vocabulary([records[r] for r in rows], schema, min_count)
+    assert [list(m.items()) for m in vocab.tokens.values()] == [
+        list(m.items()) for m in want.tokens.values()
+    ]
+    assert list(vocab.tokens) == list(want.tokens)
+    assert list(vocab.numeric_stats) == list(want.numeric_stats)
+    for name, stats in want.numeric_stats.items():
+        assert list(map(_float_bits, vocab.numeric_stats[name])) == list(
+            map(_float_bits, stats)
+        )
+
+    got = encode_dataset(loaded, schema, vocab)
+    ref = reference_encode_dataset(records, schema, vocab)
+    for a, b in zip(
+        (got.labels, got.indices, got.values), (ref.labels, ref.indices, ref.values)
+    ):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
 class TestAgainstReference:
     @given(tables())
     @settings(max_examples=200, deadline=None)
     def test_column_wise_equals_record_wise_byte_for_byte(self, case):
-        schema, records, rows, min_count = case
-        vocab = build_vocabulary(table(records), schema, rows, min_count)
-        want = reference_vocabulary([records[r] for r in rows], schema, min_count)
-        assert [list(m.items()) for m in vocab.tokens.values()] == [
-            list(m.items()) for m in want.tokens.values()
-        ]
-        assert list(vocab.tokens) == list(want.tokens)
-        assert list(vocab.numeric_stats) == list(want.numeric_stats)
-        for name, stats in want.numeric_stats.items():
-            assert list(map(_float_bits, vocab.numeric_stats[name])) == list(
-                map(_float_bits, stats)
-            )
+        check_against_reference(case)
 
-        got = encode_dataset(table(records), schema, vocab)
-        ref = reference_encode_dataset(records, schema, vocab)
-        for a, b in zip(
-            (got.labels, got.indices, got.values), (ref.labels, ref.indices, ref.values)
-        ):
-            assert a.dtype == b.dtype and a.shape == b.shape
-            assert a.tobytes() == b.tobytes()
+    @given(tables())
+    @settings(max_examples=200, deadline=None)
+    def test_in_chunks_of_three_lines_with_blank_lines(self, case):
+        with mock.patch.object(data, "CHUNK_LINES", 3):
+            check_against_reference(case, blank_every=2)
+
+    def test_tokens_first_seen_in_later_chunks(self, schema):
+        """Five chunks of three lines, each holding a blank line and a train
+        row; "green", "tri" and 7.5 first appear in later chunks, and "green"
+        comes first in split order."""
+        colors = ["red", "red", "blue", "", "red", "green", "blue", "green", "red", "blue"]
+        records = [
+            rec(str(i % 2), color, "" if i == 4 else str(i * 1.5), "tri" if i > 6 else "sq")
+            for i, color in enumerate(colors)
+        ]
+        rows = [7, 0, 3, 4, 9, 5, 1]  # at least one in each pair of records
+        with mock.patch.object(data, "CHUNK_LINES", 3):
+            check_against_reference((schema, records, rows, 1), blank_every=2)
+            check_against_reference((schema, records, rows, 2), blank_every=2)
+
+
+class TestErrorsInLaterChunks:
+    """With three-line chunks, one bad row or cell in the fourth chunk gives
+    the same message as when the whole file is one chunk."""
+
+    @pytest.fixture
+    def records(self):
+        return [rec(str(i % 2), "red", str(i), "sq") for i in range(12)]
+
+    @pytest.mark.parametrize("chunk_lines", [data.CHUNK_LINES, 3])
+    def test_column_count_names_path_and_line(self, schema, records, tmp_path, chunk_lines):
+        records[7] = records[7][:3]
+        path = str(tmp_path / "data.tsv")
+        write_records(path, records, blank_every=2)  # record 7 is on line 12
+        with mock.patch.object(data, "CHUNK_LINES", chunk_lines):
+            with pytest.raises(DataError) as exc:
+                load_records(path, schema)
+        assert str(exc.value) == f"{path}:12: expected 4 columns, got 3"
+
+    @pytest.mark.parametrize("chunk_lines", [data.CHUNK_LINES, 3])
+    @pytest.mark.parametrize(
+        "column, raw, message",
+        [
+            (0, "2", "record 7: malformed label '2': expected 0 or 1"),
+            (2, "oops", "record 7, field 'size': 'oops' is not a finite number"),
+            (2, "-inf", "record 7, field 'size': '-inf' is not a finite number"),
+        ],
+    )
+    def test_bad_cell_names_record_and_field(
+        self, schema, records, tmp_path, chunk_lines, column, raw, message
+    ):
+        records[7][column] = raw
+        path = str(tmp_path / "data.tsv")
+        write_records(path, records, blank_every=2)
+        with mock.patch.object(data, "CHUNK_LINES", chunk_lines):
+            with pytest.raises(DataError) as exc:
+                load_records(path, schema)
+        assert str(exc.value) == message
+
+    def test_first_bad_cell_in_file_order_is_reported(self, schema, records):
+        records[5][2] = "oops"  # a later field of an earlier record ...
+        records[9][0] = "x"  # ... comes before an earlier field of a later one
+        records[5][3] = ""  # a missing value is no error
+        records[11] = records[11][:2]
+        with mock.patch.object(data, "CHUNK_LINES", 3):
+            with pytest.raises(DataError, match=r"^record 5, field 'size': 'oops'"):
+                table(records, schema, blank_every=2)

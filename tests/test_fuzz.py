@@ -7,6 +7,8 @@ tensors carry no checksum, so a changed tensor byte that leaves the value
 finite loads silently: these tests pin that no other exception escapes,
 not that every corruption is caught.
 """
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,14 +31,25 @@ DATA = "".join(  # every fourth age is missing
     f"{i % 2}\tu{i % 3}\t{i * 1.5 if i % 4 else ''}\tt{i % 5}\n" for i in range(12)
 )
 
-# file name -> the load it is read by, given the good schema and vocabulary
+
+def encode_file(path, schema, vocab):
+    return encode_dataset(load_records(path, schema), schema, vocab)
+
+
+def encode_file_in_chunks_of_two_lines(path, schema, vocab):
+    """A cut or changed byte lands at or next to a chunk boundary."""
+    with mock.patch("contextnet.data.CHUNK_LINES", 2):
+        return encode_file(path, schema, vocab)
+
+
+# case -> the file mutated and the load it is read by, given the good schema
+# and vocabulary
 LOADERS = {
-    "schema.tsv": lambda path, schema, vocab: load_schema(path),
-    "data.tsv": lambda path, schema, vocab: encode_dataset(
-        load_records(path, schema), schema, vocab
-    ),
-    "vocab.txt": lambda path, schema, vocab: load_vocabulary(path),
-    "checkpoint.bin": lambda path, schema, vocab: load_checkpoint(path),
+    "schema.tsv": ("schema.tsv", lambda path, schema, vocab: load_schema(path)),
+    "data.tsv": ("data.tsv", encode_file),
+    "data.tsv-chunks-of-2": ("data.tsv", encode_file_in_chunks_of_two_lines),
+    "vocab.txt": ("vocab.txt", lambda path, schema, vocab: load_vocabulary(path)),
+    "checkpoint.bin": ("checkpoint.bin", lambda path, schema, vocab: load_checkpoint(path)),
 }
 
 
@@ -61,14 +74,15 @@ def inputs(tmp_path_factory):
         [(f.name, f.kind) for f in schema],
         seed=0,
     )
-    blobs = {name: (d / name).read_bytes() for name in LOADERS}
+    blobs = {name: (d / name).read_bytes() for name, _ in LOADERS.values()}
     return blobs, schema, vocab, d
 
 
 @pytest.mark.parametrize("name", LOADERS)
 def test_good_file_loads(inputs, name):
     blobs, schema, vocab, d = inputs
-    LOADERS[name](str(d / name), schema, vocab)
+    file_name, load = LOADERS[name]
+    load(str(d / file_name), schema, vocab)
 
 
 @pytest.mark.parametrize("name", LOADERS)
@@ -76,12 +90,13 @@ def test_good_file_loads(inputs, name):
 @settings(max_examples=300, deadline=None)
 def test_cut_or_changed_file_raises_only_input_errors(inputs, name, data):
     blobs, schema, vocab, d = inputs
-    blob = blobs[name]
+    file_name, load = LOADERS[name]
+    blob = blobs[file_name]
     at = data.draw(st.integers(0, len(blob) - 1), label="offset")
     byte = data.draw(st.none() | st.integers(0, 255), label="new byte (None: cut)")
-    path = d / ("mutated-" + name)
+    path = d / ("mutated-" + file_name)
     path.write_bytes(blob[:at] if byte is None else blob[:at] + bytes([byte]) + blob[at + 1 :])
     try:
-        LOADERS[name](str(path), schema, vocab)
+        load(str(path), schema, vocab)
     except (DataError, CheckpointError, OSError):
         pass
