@@ -1,9 +1,9 @@
 """Command-line interface: train, evaluate, and explain subcommands.
 
-Options come from CLI flags, an optional flat `key = value` config file, and
-built-in defaults, in that precedence order. Unknown config keys are
-rejected. Exit codes: 0 success, 2 usage/config error or a path that cannot
-be opened, read or written, 3 data or checkpoint error, 4 numerical failure.
+Options come from command-line flags alone: argparse converts, defaults and
+requires each one from its `_OPTS` row. Exit codes: 0 success, 2 usage error
+or a path that cannot be opened, read or written, 3 data or checkpoint error,
+4 numerical failure.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ EXIT_NUMERIC = 4
 
 
 class ConfigError(ValueError):
-    """A usage error: a bad command line, option value or config file."""
+    """A usage error: a bad command line or option value."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -43,19 +43,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):  # one line and exit 2, not a usage block
         raise ConfigError(message)
-
-
-def _parse_config_file(path: str) -> dict[str, str]:
-    out = {}
-    for lineno, line in dt.text_lines(path, ConfigError):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        out[key.strip().replace("-", "_")] = value.strip()
-    return out
 
 
 # (name, type, default, help) per subcommand; REQUIRED: the option has no default
@@ -108,35 +95,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, opts in _OPTS.items():
         p = sub.add_parser(command)
-        p.add_argument("--config", help="flat key=value file")
-        for name, _, _, help_text in opts:
-            p.add_argument("--" + name.replace("_", "-"), help=help_text)
+        for name, typ, default, help_text in opts:
+            p.add_argument(
+                "--" + name.replace("_", "-"),
+                type=typ,
+                default=default,
+                required=default is REQUIRED,
+                help=help_text,
+            )
     return parser
-
-
-def resolve_options(args: argparse.Namespace) -> dict:
-    """Merge CLI flags over config-file values over defaults, converting
-    each value from either source with its option's type."""
-    spec = {name: (typ, default) for name, typ, default, _ in _OPTS[args.command]}
-    file_values = {} if args.config is None else _parse_config_file(args.config)
-    for key in file_values:
-        if key not in spec:
-            raise ConfigError(f"unknown config key {key!r} for {args.command}")
-    merged = {}
-    for name, (typ, default) in spec.items():
-        flag = "--" + name.replace("_", "-")
-        value = getattr(args, name)
-        if value is None:
-            value = file_values.get(name, default)
-        if value is REQUIRED:
-            raise ConfigError(f"missing required option {flag}")
-        if isinstance(value, str):
-            try:
-                value = typ(value)
-            except ValueError:
-                raise ConfigError(f"{flag}: cannot parse {value!r} as {typ.__name__}") from None
-        merged[name] = value
-    return merged
 
 
 def _model_config(opts: dict, n_fields: int) -> ModelConfig:
@@ -176,6 +143,8 @@ def cmd_train(opts: dict) -> int:
     out_dir = opts["out"]
     if os.path.exists(out_dir) and not os.path.isdir(out_dir):
         raise ConfigError(f"--out {out_dir} exists and is not a directory")
+    if opts["min_count"] < 1:
+        raise ConfigError(f"min_count must be >= 1, got {opts['min_count']}")
     schema = dt.load_schema(opts["schema"])
     config = _model_config(opts, len(schema))
     columns = dt.load_records(opts["data"], schema)
@@ -273,6 +242,8 @@ def cmd_explain(opts: dict) -> int:
             raise ConfigError(f"only --corpus takes {' and '.join(given)}")
     elif mode not in (itp.IMPORTANCE_SUM, itp.IMPORTANCE_NORM):
         raise ConfigError(f"unknown corpus mode {mode!r}")
+    elif mode == itp.IMPORTANCE_SUM and opts["alpha"] is not None:
+        raise ConfigError("only --corpus norm takes --alpha")
     alpha = 10.0 if opts["alpha"] is None else opts["alpha"]
     top = 20 if opts["top"] is None else opts["top"]
     if not 0.0 <= alpha < math.inf:
@@ -349,8 +320,7 @@ def main(argv=None) -> int:
     _reuse_freed_memory()
     try:
         args = build_parser().parse_args(argv)
-        opts = resolve_options(args)
-        return _HANDLERS[args.command](opts)
+        return _HANDLERS[args.command](vars(args))
     except (ConfigError, OSError) as exc:  # an OSError names its path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

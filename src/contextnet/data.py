@@ -58,10 +58,10 @@ def make_schema(fields: list[tuple[str, str]]) -> list[FieldSchema]:
     return schema
 
 
-def text_chunks(path: str, size: int, error: type[Exception] = DataError):
+def text_chunks(path: str, size: int):
     """Yield (number of the first line, lines) for each run of `size` lines
     of a UTF-8 text file; each line keeps its newline. A byte sequence that
-    is not UTF-8 raises `error` naming the file."""
+    is not UTF-8 raises DataError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         lineno = 1
         try:
@@ -69,13 +69,13 @@ def text_chunks(path: str, size: int, error: type[Exception] = DataError):
                 yield lineno, lines
                 lineno += len(lines)
         except UnicodeDecodeError as exc:
-            raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def text_lines(path: str, error: type[Exception] = DataError):
+def text_lines(path: str):
     """Yield (line number, line) for each non-empty line of a UTF-8 text
-    file, without its newline."""
-    for first, lines in text_chunks(path, CHUNK_LINES, error):
+    file, without its newline; bytes that are not UTF-8 raise DataError."""
+    for first, lines in text_chunks(path, CHUNK_LINES):
         for lineno, line in enumerate(lines, start=first):
             line = line.rstrip("\n")
             if line:

@@ -78,15 +78,15 @@ def scatter_add(out: np.ndarray, idx: np.ndarray, cols: np.ndarray) -> None:
 
 
 def sigmoid(z):
-    """Numerically stable logistic function; saturates cleanly at +/-inf."""
-    scalar = np.isscalar(z) or getattr(z, "ndim", None) == 0
-    z = np.atleast_1d(np.asarray(z, dtype=np.float64))
+    """Numerically stable elementwise logistic function of an array;
+    saturates cleanly at +/-inf."""
+    z = np.asarray(z, dtype=np.float64)
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
-    return float(out[0]) if scalar else out
+    return out
 
 
 def logit(p: float) -> float:
@@ -171,20 +171,19 @@ class Rng:
         self._pos = n
         return out
 
-    def random(self, size=None):
-        """Uniform float64 draws in [0, 1)."""
-        n = 1 if size is None else int(np.prod(size))
+    def random(self, size):
+        """An array of the given shape of uniform float64 draws in [0, 1)."""
+        n = int(np.prod(size))
         u = (self.uint64(n) >> _U64(11)).astype(np.float64) * (2.0 ** -53)
-        if size is None:
-            return float(u[0])
         return u.reshape(size)
 
-    def uniform(self, low: float, high: float, size=None):
+    def uniform(self, low: float, high: float, size):
         return low + (high - low) * self.random(size)
 
-    def normal(self, size=None, loc: float = 0.0, scale: float = 1.0):
-        """Gaussian draws via Box-Muller (deterministic, platform-stable)."""
-        n = 1 if size is None else int(np.prod(size))
+    def normal(self, size, loc: float = 0.0, scale: float = 1.0):
+        """An array of the given shape of Gaussian draws via Box-Muller
+        (deterministic, platform-stable)."""
+        n = int(np.prod(size))
         pairs = (n + 1) // 2
         # u1 in (0, 1] so the log is finite
         u1 = ((self.uint64(pairs) >> _U64(11)).astype(np.float64) + 1.0) * (2.0 ** -53)
@@ -192,10 +191,7 @@ class Rng:
         r = np.sqrt(-2.0 * np.log(u1))
         theta = 2.0 * np.pi * u2
         z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
-        z = loc + scale * z
-        if size is None:
-            return float(z[0])
-        return z.reshape(size)
+        return (loc + scale * z).reshape(size)
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n) by sorting raw 64-bit keys."""

@@ -133,7 +133,7 @@ def test_criterion_02_lr_degeneracy():
     rng = Rng(42)
     params = init_params(config, cards, seed=42)
     params["head_w"][...] = rng.normal((24,))
-    params["head_b"][0] = rng.normal()
+    params["head_b"][0] = rng.normal((1,))[0]
     idx = np.stack([integers(rng, 0, c, (1000,)) for c in cards], axis=1)
     values = rng.normal((1000, 4), loc=1.0, scale=0.5)
     batch = EncodedDataset(np.zeros(1000), idx, values)

@@ -251,37 +251,6 @@ class TestTrainCommand:
         assert code == 2
 
 
-class TestConfigFile:
-    def test_flags_override_file(self, synth_dir, tmp_path):
-        config_path = tmp_path / "run.conf"
-        config_path.write_text(
-            "data = {d}\nschema = {s}\nout = {o}\nepochs = 1\nbatch-size = 64\n"
-            "blocks = 1\nembed-dim = 4\nagg-width = 4\n".format(
-                d=os.path.join(synth_dir, "data.tsv"),
-                s=os.path.join(synth_dir, "schema.tsv"),
-                o=str(tmp_path / "from_file"),
-            )
-        )
-        out_dir = str(tmp_path / "from_flag")
-        code = main(["train", "--config", str(config_path), "--out", out_dir])
-        assert code == 0
-        assert os.path.exists(os.path.join(out_dir, "metrics.txt"))
-        assert not os.path.exists(os.path.join(str(tmp_path / "from_file"), "metrics.txt"))
-
-    def test_unknown_key_rejected(self, tmp_path, capsys):
-        config_path = tmp_path / "bad.conf"
-        config_path.write_text("fizzbuzz = 3\n")
-        code = main(["train", "--config", str(config_path)])
-        assert code == 2
-        assert "fizzbuzz" in capsys.readouterr().err
-
-    def test_unparseable_value_rejected(self, synth_dir, tmp_path):
-        config_path = tmp_path / "bad.conf"
-        config_path.write_text("epochs = banana\n")
-        code = main(["train", "--config", str(config_path)])
-        assert code == 2
-
-
 class TestEvaluateCommand:
     def test_reproduces_training_metrics_exactly(self, synth_dir, run_dir, capsys):
         code = main(
@@ -628,7 +597,6 @@ NOT_UTF8 = "not UTF-8 text (invalid start byte)"
 ERROR_CASES = {
     "missing-data": (TRAIN + ["--data", "{missing}"], 2, ENOENT + ": {missing!r}"),
     "directory-data": (TRAIN + ["--data", "{dir}"], 2, EISDIR + ": {dir!r}"),
-    "missing-config": (TRAIN + ["--config", "{missing}"], 2, ENOENT + ": {missing!r}"),
     "missing-checkpoint": (
         ["evaluate", *MODEL, "--checkpoint", "{missing}"], 2, ENOENT + ": {missing!r}"
     ),
@@ -644,9 +612,6 @@ ERROR_CASES = {
     ),
     "non-utf8-vocab": (
         ["evaluate", *MODEL, "--vocab", "{bad_vocab}"], 3, "{bad_vocab}: " + NOT_UTF8
-    ),
-    "non-utf8-config": (
-        TRAIN + ["--config", "{bad_config}"], 2, "{bad_config}: " + NOT_UTF8
     ),
     **{
         f"alpha-{value}": (
@@ -670,15 +635,14 @@ ERROR_CASES = {
     # a negative number in exponent form is a value, not a flag
     "l2-exponent": (TRAIN + ["--l2", "-1e-4"], 2, "l2 must be finite and >= 0, got -0.0001"),
     "lr-exponent": (TRAIN + ["--lr", "-1e-3"], 2, "lr must be finite and > 0, got -0.001"),
-    # a value that is not a number gives the same line from a flag or a file
-    "epochs-not-int": (TRAIN + ["--epochs", "x"], 2, "--epochs: cannot parse 'x' as int"),
-    "epochs-not-int-in-config": (
-        TRAIN[:-2] + ["--config", "{epochs_config}"], 2, "--epochs: cannot parse 'x' as int"
+    # a value that is not a number of the option's type
+    "epochs-not-int": (
+        TRAIN + ["--epochs", "x"], 2, "argument --epochs: invalid int value: 'x'"
     ),
     "alpha-not-float": (
         ["explain", *MODEL, "--corpus", "norm", "--alpha", "ten"],
         2,
-        "--alpha: cannot parse 'ten' as float",
+        "argument --alpha: invalid float value: 'ten'",
     ),
     "unknown-flag": (TRAIN + ["--bogus", "1"], 2, "unrecognized arguments: --bogus 1"),
     "ambiguous-flag": (
@@ -686,14 +650,9 @@ ERROR_CASES = {
         2,
         "ambiguous option: --e could match --embed-dim, --epochs",
     ),
-    # flags and config keys that no subcommand has
+    # flags that no subcommand has; options come from the command line only
     "train-eval-every": (
         TRAIN + ["--eval-every", "2"], 2, "unrecognized arguments: --eval-every 2"
-    ),
-    "train-eval-every-in-config": (
-        TRAIN + ["--config", "{eval_every_config}"],
-        2,
-        "unknown config key 'eval_every' for train",
     ),
     "evaluate-seed": (
         ["evaluate", *MODEL, "--seed", "3"], 2, "unrecognized arguments: --seed 3"
@@ -703,17 +662,28 @@ ERROR_CASES = {
         2,
         "unrecognized arguments: --out {out}",
     ),
+    **{
+        f"{argv[0]}-config": (
+            argv + ["--config", "{file}"], 2, "unrecognized arguments: --config {file}"
+        )
+        for argv in (TRAIN, ["evaluate", *MODEL], ["explain", *MODEL, "--corpus", "sum"])
+    },
     "no-subcommand": ([], 2, "the following arguments are required: command"),
-    # corpus-only options are refused with --instance, from a flag or a file
+    "train-missing-options": (
+        ["train", "--epochs", "1"],
+        2,
+        "the following arguments are required: --data, --schema, --out",
+    ),
+    # corpus-only options are refused with --instance, and --alpha with sum
     "explain-instance-alpha-top": (
         ["explain", *MODEL, "--instance", "0", "--alpha", "99", "--top", "1"],
         2,
         "only --corpus takes --alpha and --top",
     ),
-    "explain-instance-top-in-config": (
-        ["explain", *MODEL, "--instance", "0", "--config", "{top_config}"],
+    "explain-sum-alpha": (
+        ["explain", *MODEL, "--data", "{missing}", "--corpus", "sum", "--alpha", "99"],
         2,
-        "only --corpus takes --top",
+        "only --corpus norm takes --alpha",
     ),
     # a negative number spelled as a word is a value, not a flag
     "l2-minus-inf": (TRAIN + ["--l2", "-inf"], 2, "l2 must be finite and >= 0, got -inf"),
@@ -721,7 +691,7 @@ ERROR_CASES = {
     "top-minus-infinity": (
         ["explain", *MODEL, "--corpus", "norm", "--top", "-Infinity"],
         2,
-        "--top: cannot parse '-Infinity' as int",
+        "argument --top: invalid int value: '-Infinity'",
     ),
     # option rules are checked before any file is read: --data is missing
     **{
@@ -731,6 +701,14 @@ ERROR_CASES = {
             f"epochs must be >= 1, got {value}",
         )
         for value in ("0", "-2")
+    },
+    **{
+        f"min-count-{value}": (
+            TRAIN + ["--min-count", value, "--data", "{missing}"],
+            2,
+            f"min_count must be >= 1, got {value}",
+        )
+        for value in ("0", "-3")
     },
     **{
         f"base-auc-{value}": (
@@ -762,10 +740,6 @@ def error_paths(tmp_path_factory, synth_dir, run_dir):
     (d / "schema.tsv").write_bytes(b"c0\tcat\n\xff\xfe\tcat\n")
     vocab = open(os.path.join(run_dir, "vocab.txt"), "rb").read()
     (d / "vocab.txt").write_bytes(vocab + b"c0\t\xff\xfe\t99\n")
-    (d / "run.conf").write_bytes(b"epochs = 1\n# \xff\xfe\n")
-    (d / "epochs.conf").write_text("epochs = x\n")
-    (d / "eval_every.conf").write_text("eval_every = 2\n")
-    (d / "top.conf").write_text("top = 1\n")
     (d / "kind.tsv").write_text("a\tcat\nb\tcats\n")
     (d / "repeat.tsv").write_text("a\tcat\nb\tnum\na\tcat\n")
     return {
@@ -780,10 +754,6 @@ def error_paths(tmp_path_factory, synth_dir, run_dir):
         "bad_data": str(d / "data.tsv"),
         "bad_schema": str(d / "schema.tsv"),
         "bad_vocab": str(d / "vocab.txt"),
-        "bad_config": str(d / "run.conf"),
-        "epochs_config": str(d / "epochs.conf"),
-        "eval_every_config": str(d / "eval_every.conf"),
-        "top_config": str(d / "top.conf"),
         "kind_schema": str(d / "kind.tsv"),
         "repeat_schema": str(d / "repeat.tsv"),
     }

@@ -251,7 +251,9 @@ class TestCorpusOrderOracle:
             )
             dataset = encode_dataset(load_records(paths["data"], schema), schema, vocab)
             want = oracle_lines(params, ORACLE_CFG, dataset, schema, vocab, mode, alpha)
-            argv = ["explain", "--corpus", mode, "--alpha", str(alpha)]
+            argv = ["explain", "--corpus", mode]
+            if mode == "norm":  # only norm mode damps, and takes --alpha
+                argv += ["--alpha", str(alpha)]
             argv += [a for k, p in paths.items() for a in (f"--{k}", p)]
             for top in sorted({0, 1, 2, len(want) // 2, len(want), extra_top}):
                 out = io.StringIO()

@@ -85,7 +85,7 @@ class TestInit:
     def test_head_starts_at_prior(self):
         p = init_params(CFG, CARDS, seed=0, pos_rate=0.25)
         assert not p["head_w"].any()
-        assert sigmoid(p["head_b"][0]) == pytest.approx(0.25, abs=1e-12)
+        assert sigmoid(p["head_b"])[0] == pytest.approx(0.25, abs=1e-12)
 
     def test_embedding_scale(self):
         p = init_params(CFG, CARDS, seed=3)
@@ -257,7 +257,7 @@ class TestPredict:
         p = init_params(config, CARDS, seed=3)
         rng = Rng(4)
         p["head_w"][...] = rng.normal((12,))
-        p["head_b"][0] = rng.normal()
+        p["head_b"][0] = rng.normal((1,))[0]
         batch = random_batch(rng, 1000, CARDS)
         scores, _ = predict(batch, p, config)
         for i in range(1000):
