@@ -141,8 +141,11 @@ def cmd_train(opts: dict) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     out_dir = opts["out"]
-    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
-        raise ConfigError(f"--out {out_dir} exists and is not a directory")
+    ancestor = os.path.abspath(out_dir)  # up to the nearest path that exists
+    while not os.path.lexists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not os.path.isdir(ancestor):
+        raise ConfigError(f"--out {out_dir}: {ancestor} is not a directory")
     if opts["min_count"] < 1:
         raise ConfigError(f"min_count must be >= 1, got {opts['min_count']}")
     schema = dt.load_schema(opts["schema"])
@@ -320,7 +323,8 @@ def main(argv=None) -> int:
     _reuse_freed_memory()
     try:
         args = build_parser().parse_args(argv)
-        return _HANDLERS[args.command](vars(args))
+        with np.errstate(all="ignore"):  # the engine checks for non-finite values
+            return _HANDLERS[args.command](vars(args))
     except (ConfigError, OSError) as exc:  # an OSError names its path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

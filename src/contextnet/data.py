@@ -99,26 +99,16 @@ def load_schema(path: str) -> list[FieldSchema]:
 
 @dataclass
 class Vocabulary:
-    """Per-field token->index maps (index 0 reserved for OOV/missing) and
-    train-split mean/std for numerical fields."""
+    """Per-field tokens in index order, the first at index 1 (index 0 is
+    reserved for OOV/missing), and train-split mean/std for numerical fields."""
 
-    tokens: dict[str, dict[str, int]] = field(default_factory=dict)
+    tokens: dict[str, list[str]] = field(default_factory=dict)
     numeric_stats: dict[str, tuple[float, float]] = field(default_factory=dict)
-
-    def cardinality(self, f: FieldSchema) -> int:
-        if f.kind == NUMERICAL:
-            return 1
-        return len(self.tokens[f.name]) + 1  # +1 for the OOV slot
 
     def token_table(self, f: FieldSchema) -> list[str]:
         """The token of each of field f's indices: "<oov>" at index 0, and a
         numerical field's one entry is "<numeric>"."""
-        if f.kind == NUMERICAL:
-            return ["<numeric>"]
-        table = ["<oov>"] * self.cardinality(f)
-        for token, i in self.tokens[f.name].items():
-            table[i] = token
-        return table
+        return ["<numeric>"] if f.kind == NUMERICAL else ["<oov>", *self.tokens[f.name]]
 
 
 _LABELS = {"0": 0.0, "1": 1.0}
@@ -245,7 +235,7 @@ def build_vocabulary(
             counts[0] = 0  # code 0 is the missing value
             kept = np.flatnonzero(counts >= max(min_count, 1))
             kept = kept[np.argsort(first[kept])].tolist()
-            vocab.tokens[f.name] = {tokens[c]: i for i, c in enumerate(kept, start=1)}
+            vocab.tokens[f.name] = [tokens[c] for c in kept]
             continue
         values, present = columns[f.position]
         n, mean, m2 = 0, 0.0, 0.0
@@ -295,7 +285,7 @@ def encode_dataset(
     for i, f in enumerate(schema):
         if f.kind == CATEGORICAL:
             codes, tokens = columns[f.position]
-            lookup = vocab.tokens[f.name]
+            lookup = dict(zip(vocab.tokens[f.name], count(1)))
             index_of = np.fromiter(map(lookup.get, tokens, repeat(OOV_INDEX)), np.int64)
             index_of[0] = OOV_INDEX  # code 0 is the missing value
             indices[:, i] = index_of[codes]
@@ -341,10 +331,9 @@ _VOCAB_VERSION = 1
 
 def save_vocabulary(vocab: Vocabulary, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{_VOCAB_MAGIC}\t{_VOCAB_VERSION}\n")
-        fh.write("#tokens\n")
-        for fname, mapping in vocab.tokens.items():
-            for token, idx in mapping.items():
+        fh.write(f"{_VOCAB_MAGIC}\t{_VOCAB_VERSION}\n#tokens\n")
+        for fname, tokens in vocab.tokens.items():
+            for idx, token in enumerate(tokens, start=1):
                 fh.write(f"{fname}\t{token}\t{idx}\n")
         fh.write("#numeric-stats\n")
         for fname, (mean, std) in vocab.numeric_stats.items():
@@ -352,6 +341,8 @@ def save_vocabulary(vocab: Vocabulary, path: str) -> None:
 
 
 def load_vocabulary(path: str) -> Vocabulary:
+    """Read save_vocabulary's format: each field's token lines in index order
+    1..n (else DataError naming path:line) and no token twice in a field."""
     vocab = Vocabulary()
     lines = text_lines(path)
     if next(lines, (1, ""))[1] != f"{_VOCAB_MAGIC}\t{_VOCAB_VERSION}":
@@ -366,10 +357,14 @@ def load_vocabulary(path: str) -> Vocabulary:
         parts = line.split("\t")
         if len(parts) != 3:
             raise DataError(f"{path}:{lineno}: expected 3 columns, got {len(parts)}")
+        if section == "#tokens":
+            tokens = vocab.tokens.setdefault(parts[0], [])
+            tokens.append(parts[1])
+            if parts[2] != str(len(tokens)):
+                raise DataError(f"{path}:{lineno}: field {parts[0]!r}: "
+                                f"expected index {len(tokens)}, got {parts[2]!r}")
+            continue
         try:
-            if section == "#tokens":
-                vocab.tokens.setdefault(parts[0], {})[parts[1]] = int(parts[2])
-                continue
             mean, std = float(parts[1]), float(parts[2])
         except ValueError:
             raise DataError(f"{path}:{lineno}: malformed number") from None
@@ -379,20 +374,17 @@ def load_vocabulary(path: str) -> Vocabulary:
                 "must be finite, and std >= 0"
             )
         vocab.numeric_stats[parts[0]] = (mean, std)
-    for fname, mapping in vocab.tokens.items():
-        if sorted(mapping.values()) != list(range(1, len(mapping) + 1)):
-            raise DataError(
-                f"{path}: field {fname!r}: token indices are not 1..{len(mapping)}"
-            )
+    for fname, tokens in vocab.tokens.items():
+        if len(set(tokens)) < len(tokens):
+            raise DataError(f"{path}: field {fname!r} lists a token twice")
     return vocab
 
 
 def cardinalities(schema: list[FieldSchema], vocab: Vocabulary) -> list[int]:
     """Embedding-table sizes per field (numerical fields use one row)."""
-    # ensure every categorical field is present in the vocabulary
     for f in schema:
         if f.kind == CATEGORICAL and f.name not in vocab.tokens:
             raise DataError(f"vocabulary is missing field {f.name!r}")
         if f.kind == NUMERICAL and f.name not in vocab.numeric_stats:
             raise DataError(f"vocabulary is missing numeric stats for {f.name!r}")
-    return [vocab.cardinality(f) for f in schema]
+    return [len(vocab.token_table(f)) for f in schema]

@@ -13,15 +13,12 @@ from contextnet.ops import ShapeError
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the objective stops being finite."""
+    """Raised when the objective or an Adam update stops being finite."""
 
-    def __init__(self, epoch: int, batch_index: int, loss: float):
-        super().__init__(
-            f"non-finite loss {loss!r} at epoch {epoch}, batch {batch_index}"
-        )
+    def __init__(self, epoch: int, batch_index: int, what: str):
+        super().__init__(f"{what} at epoch {epoch}, batch {batch_index}")
         self.epoch = epoch
         self.batch_index = batch_index
-        self.loss = loss
 
 
 @dataclass
@@ -106,24 +103,27 @@ def init_adam(params: Params, lr: float = 1e-4) -> AdamState:
 
 
 def adam_step(params: Params, grads: Params, state: AdamState) -> None:
-    """One bias-corrected Adam update, applied tensor-wise in place."""
+    """One bias-corrected Adam update, applied tensor-wise in place; a value
+    that overflows or is invalid raises FloatingPointError naming its tensor."""
     state.step += 1
-    t = state.step
-    bc1 = 1.0 - BETA1 ** t
-    bc2 = 1.0 - BETA2 ** t
+    bc1 = 1.0 - BETA1 ** state.step
+    bc2 = 1.0 - BETA2 ** state.step
     if grads.keys() != params.keys():
         raise ShapeError("gradient structure does not match parameters")
-    for name, p in params.items():
-        g = grads[name]
-        if p.shape != g.shape:
-            raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= BETA1
-        m += (1.0 - BETA1) * g
-        v *= BETA2
-        v += (1.0 - BETA2) * (g * g)
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+    with np.errstate(over="raise", invalid="raise"):
+        for name, p in params.items():
+            g = grads[name]
+            if p.shape != g.shape:
+                raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
+            m, v = state.m[name], state.v[name]
+            try:
+                m *= BETA1
+                m += (1.0 - BETA1) * g
+                v *= BETA2
+                v += (1.0 - BETA2) * (g * g)
+                p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+            except FloatingPointError as exc:
+                raise FloatingPointError(f"Adam update of {name}: {exc}") from None
 
 
 def train(
@@ -155,8 +155,11 @@ def train(
         ):
             objective, grads = loss_and_grads(batch, params, config)
             if not np.isfinite(objective):
-                raise TrainingDiverged(epoch, batch_index, objective)
-            adam_step(params, grads, state)
+                raise TrainingDiverged(epoch, batch_index, f"non-finite loss {objective!r}")
+            try:
+                adam_step(params, grads, state)
+            except FloatingPointError as exc:
+                raise TrainingDiverged(epoch, batch_index, str(exc)) from None
             loss_sum += objective
             n_batches += 1
         train_loss = loss_sum / max(n_batches, 1)

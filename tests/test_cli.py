@@ -361,7 +361,8 @@ class TestEvaluateCommand:
     def test_vocabulary_index_out_of_range_exits_3(self, synth_dir, run_dir, tmp_path, capsys):
         lines = open(os.path.join(run_dir, "vocab.txt")).read().splitlines()
         i = lines.index("#tokens") + 1
-        field, token, _ = lines[i].split("\t")
+        field, token, index = lines[i].split("\t")
+        assert index == "1"
         lines[i] = f"{field}\t{token}\t99"
         vocab = tmp_path / "vocab.txt"
         vocab.write_text("\n".join(lines) + "\n")
@@ -376,7 +377,7 @@ class TestEvaluateCommand:
         )
         assert code == 3
         err = capsys.readouterr().err
-        assert f"field {field!r}: token indices" in err and err.count("\n") == 1
+        assert err == f"error: {vocab}:{i + 1}: field {field!r}: expected index 1, got '99'\n"
 
     @pytest.mark.parametrize(
         "mean, std", [("nan", "1.0"), ("0.5", "inf"), ("0.5", "-1.0")]
@@ -457,9 +458,7 @@ class TestEvaluateCommand:
         )
         assert result.returncode == 4, result.stdout
         assert result.stdout == ""
-        # NumPy's own overflow warnings may come first; the report is one line
-        errors = [x for x in result.stderr.splitlines() if x.startswith("error:")]
-        assert errors == [f"error: {error}"]
+        assert result.stderr == f"error: {error}\n"  # no NumPy warning comes first
 
     def test_schema_mismatch_exits_3_naming_issue(self, synth_dir, run_dir, tmp_path, capsys):
         wrong = tmp_path / "schema.tsv"
@@ -603,8 +602,17 @@ ERROR_CASES = {
     "directory-checkpoint": (
         ["evaluate", *MODEL, "--checkpoint", "{dir}"], 2, EISDIR + ": {dir!r}"
     ),
-    "out-is-a-file": (
-        TRAIN + ["--out", "{file}"], 2, "--out {file} exists and is not a directory"
+    "out-is-a-file": (TRAIN + ["--out", "{file}"], 2, "--out {file}: {file} is not a directory"),
+    # checked before any file is read: --data is missing
+    "out-under-a-file": (
+        TRAIN + ["--out", "{file}/sub/dir", "--data", "{missing}"],
+        2,
+        "--out {file}/sub/dir: {file} is not a directory",
+    ),
+    "out-under-a-dangling-link": (
+        TRAIN + ["--out", "{link}/sub", "--data", "{missing}"],
+        2,
+        "--out {link}/sub: {link} is not a directory",
     ),
     "non-utf8-data": (TRAIN + ["--data", "{bad_data}"], 3, "{bad_data}: " + NOT_UTF8),
     "non-utf8-schema": (
@@ -612,6 +620,24 @@ ERROR_CASES = {
     ),
     "non-utf8-vocab": (
         ["evaluate", *MODEL, "--vocab", "{bad_vocab}"], 3, "{bad_vocab}: " + NOT_UTF8
+    ),
+    # each field's token lines run 1..n in index order, each token once
+    **{
+        f"vocab-{name}": (
+            ["evaluate", *MODEL, "--vocab", f"{{vocab_{name}}}"], 3, f"{{vocab_{name}}}{error}"
+        )
+        for name, error in [
+            ("swapped", ":3: field 'c0': expected index 1, got '2'"),
+            ("zero", ":3: field 'c0': expected index 1, got '0'"),
+            ("padded", ":3: field 'c0': expected index 1, got '01'"),
+            ("twice", ": field 'c0' lists a token twice"),
+        ]
+    },
+    # a numeric failure: Adam's second moment overflows at the first step
+    "l2-overflow": (
+        TRAIN + ["--l2", "1e300"],
+        4,
+        "Adam update of embed.0: overflow encountered in multiply at epoch 0, batch 0",
     ),
     **{
         f"alpha-{value}": (
@@ -736,10 +762,23 @@ def error_paths(tmp_path_factory, synth_dir, run_dir):
     """Good inputs, and the bad paths and non-UTF-8 files of ERROR_CASES."""
     d = tmp_path_factory.mktemp("errors")
     (d / "file").write_text("")
+    os.symlink(d / "absent", d / "link")
     (d / "data.tsv").write_bytes(b"1\tv1\tv2\tv3\n0\t\xff\xfe\tv2\tv3\n")
     (d / "schema.tsv").write_bytes(b"c0\tcat\n\xff\xfe\tcat\n")
     vocab = open(os.path.join(run_dir, "vocab.txt"), "rb").read()
     (d / "vocab.txt").write_bytes(vocab + b"c0\t\xff\xfe\t99\n")
+    # the run's vocabulary with its first two token lines (c0's indices 1, 2) edited
+    lines = vocab.decode("utf-8").splitlines()
+    one, two = lines[2:4]
+    field, token, _ = one.split("\t")
+    edits = {
+        "swapped": [two, one],
+        "zero": [f"{field}\t{token}\t0", two],
+        "padded": [f"{field}\t{token}\t01", two],
+        "twice": [one, f"{field}\t{token}\t2"],
+    }
+    for name, pair in edits.items():
+        (d / f"vocab_{name}.txt").write_text("\n".join(lines[:2] + pair + lines[4:]) + "\n")
     (d / "kind.tsv").write_text("a\tcat\nb\tcats\n")
     (d / "repeat.tsv").write_text("a\tcat\nb\tnum\na\tcat\n")
     return {
@@ -751,11 +790,13 @@ def error_paths(tmp_path_factory, synth_dir, run_dir):
         "missing": str(d / "absent" / "x.txt"),
         "dir": str(d),
         "file": str(d / "file"),
+        "link": str(d / "link"),
         "bad_data": str(d / "data.tsv"),
         "bad_schema": str(d / "schema.tsv"),
         "bad_vocab": str(d / "vocab.txt"),
         "kind_schema": str(d / "kind.tsv"),
         "repeat_schema": str(d / "repeat.tsv"),
+        **{f"vocab_{name}": str(d / f"vocab_{name}.txt") for name in edits},
     }
 
 

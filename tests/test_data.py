@@ -77,6 +77,13 @@ def split_lists(n, seed):
     return tuple(part.tolist() for part in split_indices(n, seed))
 
 
+def index_of(vocab, name, token):
+    """The index of a token of field `name`: its place in the field's token
+    list counted from 1, or OOV_INDEX for a token the field does not list."""
+    tokens = vocab.tokens[name]
+    return tokens.index(token) + 1 if token in tokens else OOV_INDEX
+
+
 # ---------------------------------------------------------------- reference
 # The record-at-a-time encoder the column-wise one replaced. It reads the
 # records of the training split in split order, field after field within a
@@ -104,11 +111,7 @@ def reference_vocabulary(train_records, schema, min_count=1):
     vocab = Vocabulary()
     for f in schema:
         if f.kind == CATEGORICAL:
-            mapping = {}
-            for token, cnt in counts[f.name].items():
-                if cnt >= min_count:
-                    mapping[token] = len(mapping) + 1
-            vocab.tokens[f.name] = mapping
+            vocab.tokens[f.name] = [t for t, cnt in counts[f.name].items() if cnt >= min_count]
         else:
             n, mean, m2 = welford[f.name]
             std = math.sqrt(m2 / n) if n > 0 else 0.0
@@ -122,7 +125,7 @@ def reference_encode(record, schema, vocab):
     for i, fs in enumerate(schema):
         raw = record[fs.position]
         if fs.kind == CATEGORICAL:
-            indices[i] = OOV_INDEX if raw == "" else vocab.tokens[fs.name].get(raw, OOV_INDEX)
+            indices[i] = OOV_INDEX if raw == "" else index_of(vocab, fs.name, raw)
             values[i] = 1.0
         elif raw != "":
             mean, std = vocab.numeric_stats[fs.name]
@@ -161,13 +164,13 @@ class TestBuildVocabulary:
     def test_min_count_threshold(self, schema):
         records = [rec("1", "a", "1", "x")] * 3 + [rec("0", "b", "2", "x")]
         vocab = vocab_of(records, schema, min_count=2)
-        assert vocab.tokens["color"].get("a", OOV_INDEX) == 1
-        assert vocab.tokens["color"].get("b", OOV_INDEX) == 0  # below threshold -> OOV
+        assert index_of(vocab, "color", "a") == 1
+        assert index_of(vocab, "color", "b") == 0  # below threshold -> OOV
 
     def test_all_distinct_cardinality(self, schema):
         records = [rec("0", f"c{i}", "0", f"s{i}") for i in range(5)]
         vocab = vocab_of(records, schema, min_count=1)
-        assert vocab.cardinality(schema[0]) == 6  # 5 tokens + OOV slot
+        assert cardinalities(schema, vocab)[0] == 6  # 5 tokens + OOV slot
 
     def test_numeric_stats_population(self, schema):
         records = [rec("0", "a", v, "x") for v in ("1", "2", "3")]
@@ -237,7 +240,7 @@ class TestEncodeInstance:
 
     def test_decode_roundtrip_for_in_vocab_tokens(self, schema, vocab):
         for token in ("red", "blue"):
-            idx = vocab.tokens["color"].get(token, OOV_INDEX)
+            idx = index_of(vocab, "color", token)
             assert vocab.token_table(schema[0])[idx] == token
 
 
@@ -277,7 +280,7 @@ class TestSplits:
         train_tokens = {records[r][1] for r in train}
         for r in val + test:
             if records[r][1] not in train_tokens:
-                assert vocab.tokens["color"].get(records[r][1], OOV_INDEX) == 0
+                assert index_of(vocab, "color", records[r][1]) == 0
 
 
 def _toy_dataset(n, f=2, seed=0):
@@ -317,6 +320,26 @@ class TestBatchIter:
             list(batch_iter(_toy_dataset(5), 0, seed=0))
 
 
+# any text a vocab.txt cell can hold: no tab, no line break, valid UTF-8
+_VOCAB_TEXT = st.text(
+    st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",)), max_size=6
+) | st.sampled_from(["<oov>", "#x", "#tokens", "\u00e9t\u00e9", "\u6570", "\U0001f600"])
+
+
+@st.composite
+def vocabularies(draw):
+    """A vocabulary as build_vocabulary can make one: each field lists at
+    least one token, and no token twice."""
+    tokens = draw(st.dictionaries(
+        _VOCAB_TEXT, st.lists(_VOCAB_TEXT, min_size=1, max_size=8, unique=True), max_size=4
+    ))
+    stats = draw(st.dictionaries(_VOCAB_TEXT, st.tuples(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(0.0, allow_infinity=False),
+    ), max_size=3))
+    return Vocabulary(tokens=tokens, numeric_stats=stats)
+
+
 class TestFiles:
     def test_vocabulary_roundtrip(self, schema, tmp_path):
         records = [rec("1", "red", "1.5", "sq"), rec("0", "blue", "3.5", "tri")]
@@ -335,22 +358,44 @@ class TestFiles:
         path = str(tmp_path / "vocab.txt")
         save_vocabulary(vocab, path)
         loaded = load_vocabulary(path)
-        assert loaded.tokens == vocab.tokens == {"#user": {"u1": 1, "u2": 2}}
+        assert loaded.tokens == vocab.tokens == {"#user": ["u1", "u2"]}
         assert loaded.numeric_stats == vocab.numeric_stats
         assert list(loaded.numeric_stats) == ["#age"]
 
-    def test_token_table_follows_indices_not_file_order(self, schema, tmp_path):
+    def test_token_lines_out_of_index_order_refused(self, tmp_path):
+        """A field's token lines come in index order: the file order is the
+        token table."""
         path = tmp_path / "vocab.txt"
         path.write_text(
             "#contextnet-vocab\t1\n#tokens\ncolor\tblue\t3\ncolor\tred\t1\n"
             "color\tgreen\t2\nshape\tsq\t1\n#numeric-stats\nsize\t2.0\t1.0\n"
         )
+        with pytest.raises(DataError) as exc:
+            load_vocabulary(str(path))
+        assert str(exc.value) == f"{path}:3: field 'color': expected index 1, got '3'"
+
+    def test_token_table_is_the_token_lines_in_file_order(self, schema, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text(
+            "#contextnet-vocab\t1\n#tokens\ncolor\tblue\t1\nshape\tsq\t1\n"
+            "color\tred\t2\ncolor\tgreen\t3\n#numeric-stats\nsize\t2.0\t1.0\n"
+        )
         vocab = load_vocabulary(str(path))
         assert [vocab.token_table(f) for f in schema] == [
-            ["<oov>", "red", "green", "blue"],
+            ["<oov>", "blue", "red", "green"],
             ["<numeric>"],
             ["<oov>", "sq"],
         ]
+
+    @given(vocab=vocabularies())
+    @settings(max_examples=100, deadline=None)
+    def test_any_vocabulary_roundtrips(self, vocab):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "vocab.txt")
+            save_vocabulary(vocab, path)
+            loaded = load_vocabulary(path)
+        assert list(loaded.tokens.items()) == list(vocab.tokens.items())
+        assert list(loaded.numeric_stats.items()) == list(vocab.numeric_stats.items())
 
     def test_vocabulary_bad_magic(self, tmp_path):
         path = tmp_path / "vocab.txt"
@@ -371,19 +416,35 @@ class TestFiles:
             load_vocabulary(str(path))
 
     @pytest.mark.parametrize(
-        "lines",
+        "lines, error",
         [
-            ["color\tred\t1", "color\tblue\t99"],  # index past the field's size
-            ["color\tred\t1", "color\tblue\t1"],  # index given twice
-            ["color\tred\t0", "color\tblue\t1"],  # the OOV index
-            ["color\tred\t1", "color\tred\t2"],  # token given twice
+            # index past the field's size
+            (["color\tred\t1", "color\tblue\t99"], ":4: field 'color': expected index 2, got '99'"),
+            # index given twice
+            (["color\tred\t1", "color\tblue\t1"], ":4: field 'color': expected index 2, got '1'"),
+            # the OOV index
+            (["color\tred\t0", "color\tblue\t1"], ":3: field 'color': expected index 1, got '0'"),
+            # an index skipped
+            (["color\tred\t1", "color\tblue\t3"], ":4: field 'color': expected index 2, got '3'"),
+            # an index not written as save_vocabulary writes it
+            *(
+                ([f"color\tred\t{raw}"], f":3: field 'color': expected index 1, got {raw!r}")
+                for raw in ("01", "+1", "1.0", "1 ", "\uff11")
+            ),
+            # token given twice
+            (["color\tred\t1", "color\tred\t2"], ": field 'color' lists a token twice"),
         ],
+        ids=["past-size", "index-twice", "oov-index", "skipped", "01", "+1", "1.0", "1-space",
+             "full-width-1", "token-twice"],
     )
-    def test_vocabulary_indices_must_run_one_to_n(self, tmp_path, lines):
+    def test_vocabulary_indices_must_run_one_to_n(self, tmp_path, lines, error):
+        """Each field's token lines run 1..n in index order, each token once;
+        the error names the file, and the line where one can be named."""
         path = tmp_path / "vocab.txt"
         path.write_text("#contextnet-vocab\t1\n#tokens\n" + "\n".join(lines) + "\n")
-        with pytest.raises(DataError, match="field 'color': token indices are not 1.."):
+        with pytest.raises(DataError) as exc:
             load_vocabulary(str(path))
+        assert str(exc.value) == f"{path}{error}"
 
     def test_load_records_checks_columns(self, schema, tmp_path):
         path = tmp_path / "data.tsv"
@@ -499,9 +560,7 @@ def check_against_reference(case, blank_every=0):
     loaded = table(records, schema, blank_every)
     vocab = build_vocabulary(loaded, schema, rows, min_count)
     want = reference_vocabulary([records[r] for r in rows], schema, min_count)
-    assert [list(m.items()) for m in vocab.tokens.values()] == [
-        list(m.items()) for m in want.tokens.values()
-    ]
+    assert list(vocab.tokens.values()) == list(want.tokens.values())
     assert list(vocab.tokens) == list(want.tokens)
     assert list(vocab.numeric_stats) == list(want.numeric_stats)
     for name, stats in want.numeric_stats.items():

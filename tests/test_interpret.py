@@ -37,7 +37,7 @@ CFG = ModelConfig(n_fields=3, embed_dim=4, agg_width=5, n_blocks=2)
 # field i is named field_i; its token of index j >= 1 is #j (0 is <oov>)
 SCHEMA = make_schema([(f"field_{i}", "cat") for i in range(len(CARDS))])
 VOCAB = Vocabulary(
-    tokens={f.name: {f"#{j}": j for j in range(1, c)} for f, c in zip(SCHEMA, CARDS)}
+    tokens={f.name: [f"#{j}" for j in range(1, c)] for f, c in zip(SCHEMA, CARDS)}
 )
 TABLES = [VOCAB.token_table(f) for f in SCHEMA]
 
@@ -170,13 +170,13 @@ class TestCorpusImportance:
 def oracle_lines(params, config, dataset, schema, vocab, mode, alpha):
     """Corpus importance row by row: one (field, token, count, score) per
     feature value present, sorted by (-score, field, token) and printed as
-    `explain --corpus` prints a row. Tokens come from reversed token maps."""
+    `explain --corpus` prints a row. Tokens come from the token lists."""
     fw_abs = np.empty((config.n_fields, len(dataset)))
     for rows, tape in score_chunks(dataset, params, config):
         np.abs(field_weights(tape.stages[-1], params, config), out=fw_abs[:, rows])
     out = []
     for i, f in enumerate(schema):
-        reverse = {j: t for t, j in vocab.tokens.get(f.name, {}).items()}
+        reverse = dict(enumerate(vocab.tokens.get(f.name, []), start=1))
         present, inverse = np.unique(dataset.indices[:, i], return_inverse=True)
         counts = np.bincount(inverse, minlength=present.size)
         sums = np.bincount(inverse, weights=fw_abs[i], minlength=present.size)
@@ -188,8 +188,9 @@ def oracle_lines(params, config, dataset, schema, vocab, mode, alpha):
     return [f"{name}\t{token}\t{n}\t{score:.10f}" for name, token, n, score in out]
 
 
-# field b sits before field a; its tokens sort as strings in neither index
-# nor file order, and one of them prints as the OOV row does
+# field b sits before field a; each corpus lists a field's tokens in a drawn
+# index order, which string order need not follow, and one of b's tokens
+# prints as the OOV row does
 ORACLE_FIELDS = [("b", "cat"), ("a", "cat"), ("n", "num")]
 B_TOKENS = ["9", "10", "<oov>", "x", "Z"]
 A_TOKENS = [str(j) for j in range(1, 9)]
@@ -202,8 +203,8 @@ def oracle_corpora(draw):
     tokens) and parameters; a zero head ties every value, and embeddings
     shared by field a's tokens tie values of rows that agree elsewhere."""
     tokens = {
-        "b": dict(zip(B_TOKENS, draw(st.permutations(range(1, 6))))),
-        "a": dict(zip(A_TOKENS, draw(st.permutations(range(1, 9))))),
+        "b": draw(st.permutations(B_TOKENS)),
+        "a": draw(st.permutations(A_TOKENS)),
     }
     vocab = Vocabulary(tokens=tokens, numeric_stats={"n": (0.5, 2.0)})
     row = st.tuples(

@@ -387,6 +387,7 @@ class TestScoringWithoutTape:
             tracemalloc.stop()
         assert peak <= 12 * activation, peak / activation
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NumPy's, for the nan rows
     def test_non_finite_logit_names_first_bad_row(self):
         p = randomized(init_params(CFG, CARDS, seed=20), 21)
         data = random_batch(Rng(22), 2 * 8192 + 5, CARDS)

@@ -80,6 +80,13 @@ class TestAdam:
         assert all(m.max() > 0 for m in state.m.values())
         assert all(v.max() > 0 for v in state.v.values())
 
+    def test_overflowing_moment_names_its_tensor(self):
+        params = scalarish_params()
+        grads = zeros_like(params)
+        grads["head_b"][0] = 1e200  # its square, in the second moment, overflows
+        with pytest.raises(FloatingPointError, match="^Adam update of head_b: overflow"):
+            adam_step(params, grads, init_adam(params))
+
     def test_shape_mismatch_rejected(self):
         params = init_params(CFG, CARDS, seed=5)
         other = init_params(ModelConfig(n_fields=2, embed_dim=4, n_blocks=0), CARDS, 0)
@@ -158,6 +165,18 @@ class TestTrainLoop:
             train(CFG, params, ds, ds, tconf)
         assert err.value.epoch == 0
         assert err.value.batch_index == 0
+
+    def test_adam_overflow_reported_with_tensor_and_location(self):
+        ds = _linearly_separable(100, seed=11)
+        config = ModelConfig(n_fields=2, embed_dim=3, agg_width=4, n_blocks=1, l2=1e300)
+        params = init_params(config, CARDS, seed=11)
+        tconf = TrainConfig(batch_size=32, lr=1e-3, max_epochs=2, patience=2, seed=11)
+        with pytest.raises(TrainingDiverged) as err:
+            train(config, params, ds, ds, tconf)
+        assert str(err.value) == (
+            "Adam update of embed.0: overflow encountered in multiply at epoch 0, batch 0"
+        )
+        assert (err.value.epoch, err.value.batch_index) == (0, 0)
 
     def test_single_class_validation_rejected_before_first_epoch(self):
         ds = _linearly_separable(100, seed=14)
