@@ -45,7 +45,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-# (name, type, default, help) per subcommand; REQUIRED: the option has no default
+# (name, type, default, help, *choices) per subcommand; REQUIRED: no default
 REQUIRED = object()
 _MODEL_INPUT_OPTS = [
     ("checkpoint", str, REQUIRED, "checkpoint file"),
@@ -74,13 +74,13 @@ _OPTS = {
     ],
     "evaluate": [
         *_MODEL_INPUT_OPTS,
-        ("split", str, "all", "which 8:1:1 part to score: train | val | test | all"),
+        ("split", str, "all", "which 8:1:1 part to score", "train", "val", "test", "all"),
         ("base_auc", float, None, "baseline AUC for relative improvement"),
     ],
     "explain": [
         *_MODEL_INPUT_OPTS,
         ("instance", int, None, "explain the n-th record (0-based)"),
-        ("corpus", str, None, "corpus importance mode: sum | norm"),
+        ("corpus", str, None, "corpus importance mode", itp.IMPORTANCE_SUM, itp.IMPORTANCE_NORM),
         ("alpha", float, None, "frequency damping for norm mode (default 10)"),
         ("top", int, None, "rows to print in corpus mode (default 20, 0 = all)"),
     ],
@@ -95,13 +95,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, opts in _OPTS.items():
         p = sub.add_parser(command)
-        for name, typ, default, help_text in opts:
+        for name, typ, default, help_text, *choices in opts:
             p.add_argument(
                 "--" + name.replace("_", "-"),
                 type=typ,
                 default=default,
                 required=default is REQUIRED,
                 help=help_text,
+                choices=choices or None,
             )
     return parser
 
@@ -215,8 +216,6 @@ def _load_model_inputs(opts: dict):
 
 def cmd_evaluate(opts: dict) -> int:
     split = opts["split"]
-    if split not in ("train", "val", "test", "all"):
-        raise ConfigError(f"unknown split {split!r}")
     if opts["base_auc"] is not None and not 0.5 < opts["base_auc"] <= 1.0:
         raise ConfigError(f"base_auc must be in (0.5, 1], got {opts['base_auc']}")
     params, config, header, schema, vocab, dataset = _load_model_inputs(opts)
@@ -243,8 +242,6 @@ def cmd_explain(opts: dict) -> int:
         given = [f"--{name}" for name in ("alpha", "top") if opts[name] is not None]
         if given:
             raise ConfigError(f"only --corpus takes {' and '.join(given)}")
-    elif mode not in (itp.IMPORTANCE_SUM, itp.IMPORTANCE_NORM):
-        raise ConfigError(f"unknown corpus mode {mode!r}")
     elif mode == itp.IMPORTANCE_SUM and opts["alpha"] is not None:
         raise ConfigError("only --corpus norm takes --alpha")
     alpha = 10.0 if opts["alpha"] is None else opts["alpha"]

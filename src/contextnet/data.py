@@ -100,7 +100,8 @@ def load_schema(path: str) -> list[FieldSchema]:
 @dataclass
 class Vocabulary:
     """Per-field tokens in index order, the first at index 1 (index 0 is
-    reserved for OOV/missing), and train-split mean/std for numerical fields."""
+    reserved for OOV/missing; a field that kept no token may be absent),
+    and train-split mean/std for numerical fields."""
 
     tokens: dict[str, list[str]] = field(default_factory=dict)
     numeric_stats: dict[str, tuple[float, float]] = field(default_factory=dict)
@@ -108,7 +109,7 @@ class Vocabulary:
     def token_table(self, f: FieldSchema) -> list[str]:
         """The token of each of field f's indices: "<oov>" at index 0, and a
         numerical field's one entry is "<numeric>"."""
-        return ["<numeric>"] if f.kind == NUMERICAL else ["<oov>", *self.tokens[f.name]]
+        return ["<numeric>"] if f.kind == NUMERICAL else ["<oov>", *self.tokens.get(f.name, ())]
 
 
 _LABELS = {"0": 0.0, "1": 1.0}
@@ -285,7 +286,7 @@ def encode_dataset(
     for i, f in enumerate(schema):
         if f.kind == CATEGORICAL:
             codes, tokens = columns[f.position]
-            lookup = dict(zip(vocab.tokens[f.name], count(1)))
+            lookup = dict(zip(vocab.tokens.get(f.name, ()), count(1)))
             index_of = np.fromiter(map(lookup.get, tokens, repeat(OOV_INDEX)), np.int64)
             index_of[0] = OOV_INDEX  # code 0 is the missing value
             indices[:, i] = index_of[codes]
@@ -383,8 +384,6 @@ def load_vocabulary(path: str) -> Vocabulary:
 def cardinalities(schema: list[FieldSchema], vocab: Vocabulary) -> list[int]:
     """Embedding-table sizes per field (numerical fields use one row)."""
     for f in schema:
-        if f.kind == CATEGORICAL and f.name not in vocab.tokens:
-            raise DataError(f"vocabulary is missing field {f.name!r}")
         if f.kind == NUMERICAL and f.name not in vocab.numeric_stats:
             raise DataError(f"vocabulary is missing numeric stats for {f.name!r}")
     return [len(vocab.token_table(f)) for f in schema]

@@ -93,8 +93,9 @@ def corpus_feature_importance(
     for i in range(config.n_fields):
         # per feature value (a numerical field has one), its rows' terms
         # summed in row order from 0.0
-        present, inverse = np.unique(dataset.indices[:, i], return_inverse=True)
-        counts = np.bincount(inverse, minlength=present.size)
+        present, inverse, counts = np.unique(
+            dataset.indices[:, i], return_inverse=True, return_counts=True
+        )
         sums = np.bincount(inverse, weights=fw_abs[i], minlength=present.size)
         score = sums if mode == IMPORTANCE_SUM else sums / (counts + alpha)
         parts.append((np.full(present.size, i), present, counts, score))

@@ -18,16 +18,9 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     n_neg = n - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC is undefined when only one class is present")
-    order = np.argsort(scores, kind="mergesort")
-    sorted_scores = scores[order]
-    # average 1-based rank within each tie group
-    boundaries = np.flatnonzero(np.diff(sorted_scores)) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [n]))
-    group_rank = (starts + ends + 1) / 2.0
-    ranks = np.empty(n)
-    ranks[order] = np.repeat(group_rank, ends - starts)
-    rank_sum = ranks[pos].sum()
+    _, group, ties = np.unique(scores, return_inverse=True, return_counts=True)
+    group_rank = np.cumsum(ties) - (ties - 1) / 2.0  # average 1-based rank
+    rank_sum = group_rank[group[pos]].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

@@ -155,20 +155,13 @@ class Rng:
 
     def uint64(self, n: int) -> np.ndarray:
         """Next n raw 64-bit draws (lane-interleaved blocks of 1024)."""
-        have = self._buf.size - self._pos
-        if have >= n:
-            out = self._buf[self._pos : self._pos + n]
-            self._pos += n
-            return out.copy()
-        blocks = [self._buf[self._pos :]]
-        need = n - have
-        while need > 0:
-            blocks.append(self._block())
-            need -= self._LANES
-        flat = np.concatenate(blocks)
-        out = flat[:n].copy()
-        self._buf = flat
-        self._pos = n
+        short = n - (self._buf.size - self._pos)
+        if short > 0:
+            fresh = [self._block() for _ in range(-(-short // self._LANES))]
+            self._buf = np.concatenate([self._buf[self._pos :], *fresh])
+            self._pos = 0
+        out = self._buf[self._pos : self._pos + n].copy()
+        self._pos += n
         return out
 
     def random(self, size):
@@ -185,9 +178,8 @@ class Rng:
         (deterministic, platform-stable)."""
         n = int(np.prod(size))
         pairs = (n + 1) // 2
-        # u1 in (0, 1] so the log is finite
-        u1 = ((self.uint64(pairs) >> _U64(11)).astype(np.float64) + 1.0) * (2.0 ** -53)
-        u2 = (self.uint64(pairs) >> _U64(11)).astype(np.float64) * (2.0 ** -53)
+        u1 = self.random(pairs) + 2.0 ** -53  # in (0, 1], so the log is finite
+        u2 = self.random(pairs)
         r = np.sqrt(-2.0 * np.log(u1))
         theta = 2.0 * np.pi * u2
         z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]

@@ -584,6 +584,56 @@ class TestExplainCommand:
         )
 
 
+class TestFieldsWithoutTokens:
+    """A --min-count above every token count leaves each field only its OOV
+    row: vocab.txt then lists no token line, and the run still evaluates."""
+
+    @pytest.fixture(scope="class")
+    def sparse_run(self, tmp_path_factory, synth_dir):
+        out = str(tmp_path_factory.mktemp("sparse"))
+        code = main(
+            [
+                "train",
+                "--data", os.path.join(synth_dir, "data.tsv"),
+                "--schema", os.path.join(synth_dir, "schema.tsv"),
+                "--out", out,
+                "--min-count", "100000",
+                "--epochs", "1",
+                "--batch-size", "64",
+            ]
+        )
+        assert code == 0
+        return out
+
+    def model_inputs(self, synth_dir, checkpoint_dir, vocab_dir):
+        return [
+            "--checkpoint", os.path.join(checkpoint_dir, "checkpoint.bin"),
+            "--vocab", os.path.join(vocab_dir, "vocab.txt"),
+            "--schema", os.path.join(synth_dir, "schema.tsv"),
+            "--data", os.path.join(synth_dir, "data.tsv"),
+        ]
+
+    def test_evaluate_and_explain_corpus_exit_0(self, synth_dir, sparse_run, capsys):
+        header = load_checkpoint(os.path.join(sparse_run, "checkpoint.bin"))[2]
+        assert header["cardinalities"] == [1, 1, 1]
+        inputs = self.model_inputs(synth_dir, sparse_run, sparse_run)
+        assert main(["evaluate", *inputs]) == 0
+        assert capsys.readouterr().out.startswith("auc\t")
+        assert main(["explain", *inputs, "--corpus", "norm"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert sorted(line.split("\t")[:3] for line in lines[1:]) == [
+            [name, "<oov>", "600"] for name in ("c0", "c1", "c2")
+        ]
+
+    def test_vocabulary_of_another_run_exits_3(self, synth_dir, run_dir, sparse_run, capsys):
+        want = load_checkpoint(os.path.join(run_dir, "checkpoint.bin"))[2]["cardinalities"]
+        code = main(["evaluate", *self.model_inputs(synth_dir, run_dir, sparse_run)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: vocabulary cardinalities [1, 1, 1] do not match checkpoint {want}\n"
+        )
+
+
 ENOENT = f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}"
 EISDIR = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}"
 TRAIN = ["train", "--data", "{data}", "--schema", "{schema}", "--out", "{out}",
@@ -744,6 +794,44 @@ ERROR_CASES = {
         )
         for value in ("0.4", "nan", "inf")
     },
+    # a value that the option's choices do not list
+    "evaluate-split-x": (
+        ["evaluate", *MODEL, "--split", "x"],
+        2,
+        "argument --split: invalid choice: 'x' (choose from 'train', 'val', 'test', 'all')",
+    ),
+    "explain-corpus-x": (
+        ["explain", *MODEL, "--corpus", "x"],
+        2,
+        "argument --corpus: invalid choice: 'x' (choose from 'sum', 'norm')",
+    ),
+    # checkpoints that are not what save_checkpoint writes
+    "checkpoint-version-2": (
+        ["evaluate", *MODEL, "--checkpoint", "{ckpt_v2}"],
+        3,
+        "{ckpt_v2}: unsupported checkpoint version 2",
+    ),
+    "checkpoint-trailing-bytes": (
+        ["evaluate", *MODEL, "--checkpoint", "{ckpt_trailing}"],
+        3,
+        "{ckpt_trailing}: trailing bytes after tensors",
+    ),
+    "checkpoint-negative-blocks": (
+        ["evaluate", *MODEL, "--checkpoint", "{ckpt_blocks}"],
+        3,
+        "{ckpt_blocks}: corrupt header: n_blocks must be >= 0",
+    ),
+    "checkpoint-no-fields": (
+        ["evaluate", *MODEL, "--checkpoint", "{ckpt_fields}"],
+        3,
+        "{ckpt_fields}: corrupt header: n_fields must be >= 1",
+    ),
+    "vocab-without-numeric-stats": (
+        ["evaluate", "--checkpoint", "{num_checkpoint}", "--vocab", "{num_vocab}",
+         "--schema", "{num_schema}", "--data", "{num_data}"],
+        3,
+        "vocabulary is missing numeric stats for 'x'",
+    ),
     "schema-unknown-kind": (
         TRAIN + ["--schema", "{kind_schema}"],
         3,
@@ -758,8 +846,8 @@ ERROR_CASES = {
 
 
 @pytest.fixture(scope="module")
-def error_paths(tmp_path_factory, synth_dir, run_dir):
-    """Good inputs, and the bad paths and non-UTF-8 files of ERROR_CASES."""
+def error_paths(tmp_path_factory, synth_dir, run_dir, numeric_dir):
+    """Good inputs, and the bad paths, files and checkpoints of ERROR_CASES."""
     d = tmp_path_factory.mktemp("errors")
     (d / "file").write_text("")
     os.symlink(d / "absent", d / "link")
@@ -781,6 +869,14 @@ def error_paths(tmp_path_factory, synth_dir, run_dir):
         (d / f"vocab_{name}.txt").write_text("\n".join(lines[:2] + pair + lines[4:]) + "\n")
     (d / "kind.tsv").write_text("a\tcat\nb\tcats\n")
     (d / "repeat.tsv").write_text("a\tcat\nb\tnum\na\tcat\n")
+    blob = open(os.path.join(run_dir, "checkpoint.bin"), "rb").read()
+    (d / "v2.bin").write_bytes(blob[:8] + struct.pack("<I", 2) + blob[12:])
+    (d / "trailing.bin").write_bytes(blob + b"\0")
+    edited_header(run_dir, d / "blocks.bin", lambda h: h["config"].update(n_blocks=-1))
+    edited_header(run_dir, d / "fields.bin", lambda h: h["config"].update(n_fields=0))
+    num_run = numeric_dir / "run"
+    num_vocab = (num_run / "vocab.txt").read_text().splitlines(keepends=True)
+    (d / "num_vocab.txt").write_text("".join(x for x in num_vocab if not x.startswith("x\t")))
     return {
         "data": os.path.join(synth_dir, "data.tsv"),
         "schema": os.path.join(synth_dir, "schema.tsv"),
@@ -796,6 +892,14 @@ def error_paths(tmp_path_factory, synth_dir, run_dir):
         "bad_vocab": str(d / "vocab.txt"),
         "kind_schema": str(d / "kind.tsv"),
         "repeat_schema": str(d / "repeat.tsv"),
+        "ckpt_v2": str(d / "v2.bin"),
+        "ckpt_trailing": str(d / "trailing.bin"),
+        "ckpt_blocks": str(d / "blocks.bin"),
+        "ckpt_fields": str(d / "fields.bin"),
+        "num_checkpoint": str(num_run / "checkpoint.bin"),
+        "num_vocab": str(d / "num_vocab.txt"),
+        "num_schema": str(numeric_dir / "schema.tsv"),
+        "num_data": str(numeric_dir / "data.tsv"),
         **{f"vocab_{name}": str(d / f"vocab_{name}.txt") for name in edits},
     }
 

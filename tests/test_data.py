@@ -463,13 +463,35 @@ class TestFiles:
         assert size.tolist() == [0.0]
 
     def test_cardinalities_requires_matching_vocab(self, schema):
+        """A categorical field that the vocabulary does not list kept no
+        token, so it has only the OOV row; a numerical field needs its stats."""
         records = [rec("1", "red", "1", "sq")]
         vocab = vocab_of(records, schema)
-        cards = cardinalities(schema, vocab)
-        assert cards == [2, 1, 2]
+        assert cardinalities(schema, vocab) == [2, 1, 2]
         del vocab.tokens["color"]
-        with pytest.raises(DataError, match="color"):
+        assert cardinalities(schema, vocab) == [1, 1, 2]
+        del vocab.numeric_stats["size"]
+        with pytest.raises(DataError, match="numeric stats for 'size'"):
             cardinalities(schema, vocab)
+
+    def test_field_that_kept_no_token_roundtrips(self, schema, tmp_path):
+        """save_vocabulary writes no line for a field whose every token is
+        below min_count; loaded back, it has the same cardinality and
+        encodes every row to the OOV index as before."""
+        records = [rec("1", "red", "1", "sq"), rec("0", "blue", "2", "sq")]
+        vocab = vocab_of(records, schema, min_count=2)
+        assert vocab.tokens["color"] == []
+        path = str(tmp_path / "vocab.txt")
+        save_vocabulary(vocab, path)
+        loaded = load_vocabulary(path)
+        assert "color" not in loaded.tokens
+        assert cardinalities(schema, loaded) == cardinalities(schema, vocab) == [1, 1, 2]
+        assert loaded.token_table(schema[0]) == ["<oov>"]
+        want = encode_dataset(table(records, schema), schema, vocab)
+        got = encode_dataset(table(records, schema), schema, loaded)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.values, want.values)
+        assert not got.indices[:, 0].any()
 
 
 def test_ingestion_memory_is_bounded_by_the_encoded_size(tmp_path):

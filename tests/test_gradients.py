@@ -16,16 +16,22 @@ REL_TOL = 1e-4
 
 
 def randomized_model(config, cards, seed):
-    """Parameters with O(0.3) magnitudes so every gradient path carries signal."""
+    """Parameters with O(0.3) magnitudes so every gradient path carries signal.
+
+    A field of cardinality 1 is numerical: its one row is scaled by values
+    drawn from N(0, 1.5^2), as encode_dataset scales it by the standardized
+    number. Every other value is 1.0.
+    """
     rng = Rng(seed)
     params = init_params(config, cards, seed)
     for tensor in params.values():
         tensor[...] = rng.normal(tensor.shape, scale=0.4)
     idx = np.stack([integers(rng, 0, c, (6,)) for c in cards], axis=1)
-    batch = EncodedDataset(
-        (rng.random((6,)) < 0.5).astype(float), idx, np.ones((6, len(cards)))
-    )
-    return params, batch
+    labels = (rng.random((6,)) < 0.5).astype(float)
+    values = np.ones((6, len(cards)))
+    numerical = [i for i, c in enumerate(cards) if c == 1]
+    values[:, numerical] = rng.normal((6, len(numerical)), scale=1.5)
+    return params, EncodedDataset(labels, idx, values)
 
 
 def max_rel_error(config, cards, seed=0):
@@ -57,6 +63,17 @@ def test_default_sharing_gradients(variant):
         n_fields=3, embed_dim=4, agg_width=5, n_blocks=2, variant=variant
     )
     assert max_rel_error(config, CARDS) < REL_TOL
+
+
+@pytest.mark.parametrize("variant", ["pffn", "sffn"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_value_scaled_embedding_gradients(variant, seed):
+    """The numerical-field path: table[0] * value forward, d * value into
+    the scatter."""
+    config = ModelConfig(
+        n_fields=3, embed_dim=4, agg_width=5, n_blocks=2, variant=variant
+    )
+    assert max_rel_error(config, [5, 1, 3], seed) < REL_TOL
 
 
 def test_shared_aggregation_gradients_accumulate():
