@@ -21,7 +21,7 @@ from contextnet import checkpoint as ckpt
 from contextnet import data as dt
 from contextnet import interpret as itp
 from contextnet.metrics import auc, logloss, rela_imp
-from contextnet.model import ModelConfig, NonFiniteScore, init_params, predict_scores
+from contextnet.model import PFFN, ModelConfig, NonFiniteScore, init_params, predict_scores
 from contextnet.training import TrainConfig, TrainingDiverged, calibration_warning, train
 
 EXIT_OK = 0
@@ -112,6 +112,8 @@ def _model_config(opts: dict, n_fields: int) -> ModelConfig:
     unknown = ablate - {"tce", "ffn", "ln", "rc"}
     if unknown:
         raise ConfigError(f"unknown ablation flags: {sorted(unknown)}")
+    if "rc" in ablate and opts["variant"] != PFFN:
+        raise ConfigError("only --variant pffn has a residual connection to ablate")
     try:
         return ModelConfig(
             n_fields=n_fields,
@@ -187,7 +189,8 @@ def cmd_train(opts: dict) -> int:
     with open(os.path.join(out_dir, "metrics.txt"), "w", encoding="utf-8") as fh:
         fh.write(f"test_auc\t{test_auc:.10f}\n")
         fh.write(f"test_logloss\t{test_ll:.10f}\n")
-    print(f"trained {len(history.epochs)} epochs; best val AUC {history.best_val_auc:.6f} at epoch {history.best_epoch}")
+    kept = history.epochs[history.best_epoch]
+    print(f"trained {len(history.epochs)} epochs; best val AUC {kept.val_auc:.6f} at epoch {kept.epoch}")
     print(f"test_auc\t{test_auc:.10f}")
     print(f"test_logloss\t{test_ll:.10f}")
     print(f"outputs in {out_dir}")
@@ -250,12 +253,14 @@ def cmd_explain(opts: dict) -> int:
         raise ConfigError(f"alpha must be finite and >= 0, got {alpha}")
     if top < 0:
         raise ConfigError(f"top must be >= 0, got {top}")
+    if opts["instance"] is not None and opts["instance"] < 0:
+        raise ConfigError(f"instance must be >= 0, got {opts['instance']}")
     params, config, header, schema, vocab, dataset = _load_model_inputs(opts)
     tables = [vocab.token_table(f) for f in schema]
     lines = []
     if opts["instance"] is not None:
         n = opts["instance"]
-        if not 0 <= n < len(dataset):
+        if n >= len(dataset):
             raise dt.DataError(f"instance {n} out of range (0..{len(dataset) - 1})")
         inst = dataset.take(slice(n, n + 1))
         report = itp.explain_instance(params, config, inst, n)

@@ -42,7 +42,6 @@ class DataError(ValueError):
 class FieldSchema:
     name: str
     kind: str  # "cat" | "num"
-    position: int  # column index in the data file (label is column 0)
 
     def __post_init__(self):
         if self.kind not in (CATEGORICAL, NUMERICAL):
@@ -51,7 +50,7 @@ class FieldSchema:
 
 def make_schema(fields: list[tuple[str, str]]) -> list[FieldSchema]:
     """Build a schema from (name, kind) pairs in column order."""
-    schema = [FieldSchema(name, kind, pos + 1) for pos, (name, kind) in enumerate(fields)]
+    schema = [FieldSchema(name, kind) for name, kind in fields]
     repeated = [name for name, n in Counter(f.name for f in schema).items() if n > 1]
     if repeated:
         raise DataError(f"field names must be unique: {repeated[0]!r} repeats")
@@ -180,8 +179,8 @@ def _code_chunk(cells: list[str], schema, seen: list, first_row: int) -> list:
         label = f"malformed label {exc.args[0]!r}: expected 0 or 1"
         bad.append((j, 0, f"record {first_row + j}: {label}"))
         out = [None]
-    for f, keys in zip(schema, seen):
-        column = cells[f.position :: want]
+    for pos, (f, keys) in enumerate(zip(schema, seen), start=1):
+        column = cells[pos::want]
         if f.kind == CATEGORICAL:
             key_if_new = count(first_row + 1)
             out.append(np.fromiter(map(keys.setdefault, column, key_if_new), np.int32, m))
@@ -195,7 +194,7 @@ def _code_chunk(cells: list[str], schema, seen: list, first_row: int) -> list:
             finite = False
         if not finite:
             j = next(j for j, cell in enumerate(column) if not _is_number(cell))
-            bad.append((j, f.position, f"record {first_row + j}, field {f.name!r}: "
+            bad.append((j, pos, f"record {first_row + j}, field {f.name!r}: "
                         f"{column[j]!r} is not a finite number"))
         out.append((values, present))
     if bad:
@@ -217,8 +216,8 @@ def build_vocabulary(
     """Count tokens over the training rows and assign contiguous indices.
 
     `columns` is a file as load_records returns it, `rows` the training rows
-    in split order. Tokens seen at least min_count times get indices 1..n in
-    first-seen order; everything else maps to the reserved OOV index 0.
+    in split order. Tokens seen at least min_count (>= 1) times get indices
+    1..n in first-seen order; everything else maps to the reserved OOV index 0.
     Numerical fields get population mean/std over their non-missing values
     (Welford, in row order).
     """
@@ -226,19 +225,19 @@ def build_vocabulary(
     if rows.size == 0:
         raise DataError("empty training set")
     vocab = Vocabulary()
-    for f in schema:
+    for f, column in zip(schema, columns[1:]):
         if f.kind == CATEGORICAL:
-            codes, tokens = columns[f.position]
+            codes, tokens = column
             codes = codes[rows]
             counts = np.bincount(codes, minlength=len(tokens))
             first = np.full(len(tokens), rows.size)  # first position in split order
             np.minimum.at(first, codes, np.arange(rows.size))
             counts[0] = 0  # code 0 is the missing value
-            kept = np.flatnonzero(counts >= max(min_count, 1))
+            kept = np.flatnonzero(counts >= min_count)
             kept = kept[np.argsort(first[kept])].tolist()
             vocab.tokens[f.name] = [tokens[c] for c in kept]
             continue
-        values, present = columns[f.position]
+        values, present = column
         n, mean, m2 = 0, 0.0, 0.0
         for v in values[rows[present[rows]]].tolist():
             n += 1
@@ -283,15 +282,15 @@ def encode_dataset(
     n = len(columns[0])
     indices = np.zeros((n, len(schema)), dtype=np.int64)
     values = np.ones((n, len(schema)), dtype=np.float64)
-    for i, f in enumerate(schema):
+    for i, (f, column) in enumerate(zip(schema, columns[1:])):
         if f.kind == CATEGORICAL:
-            codes, tokens = columns[f.position]
+            codes, tokens = column
             lookup = dict(zip(vocab.tokens.get(f.name, ()), count(1)))
             index_of = np.fromiter(map(lookup.get, tokens, repeat(OOV_INDEX)), np.int64)
             index_of[0] = OOV_INDEX  # code 0 is the missing value
             indices[:, i] = index_of[codes]
         else:
-            x, present = columns[f.position]
+            x, present = column
             mean, std = vocab.numeric_stats[f.name]
             values[:, i] = np.where(present, (x - mean) / max(std, 1e-12), 0.0)
     return EncodedDataset(columns[0], indices, values)
@@ -318,8 +317,6 @@ def batch_iter(dataset: EncodedDataset, batch_size: int, seed: int, epoch: int =
     The permutation is a function of (seed, epoch) only; the final batch may
     be short.
     """
-    if batch_size < 1:
-        raise DataError(f"batch_size must be >= 1, got {batch_size}")
     n = len(dataset)
     perm = Rng(mix_seed(seed, epoch, _BATCH_SALT)).permutation(n)
     for start in range(0, n, batch_size):

@@ -83,8 +83,6 @@ def corpus_feature_importance(
     Chunks are scored without a tape (model.score_chunks); a non-finite
     logit raises NonFiniteScore.
     """
-    if mode not in (IMPORTANCE_SUM, IMPORTANCE_NORM):
-        raise ValueError(f"unknown importance mode {mode!r}")
     fw_abs = np.empty((config.n_fields, len(dataset)))
     for rows, tape in score_chunks(dataset, params, config):
         np.abs(field_weights(tape.stages[-1], params, config), out=fw_abs[:, rows])

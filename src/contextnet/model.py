@@ -233,13 +233,8 @@ def embed(batch: EncodedDataset, params: Params, config: ModelConfig) -> np.ndar
     B = len(batch)
     out = np.empty((config.embed_dim, config.n_fields, B))
     for i in range(config.n_fields):
-        table = params[f"embed.{i}"]
-        idx = batch.indices[:, i]
-        if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
-            raise IndexError(
-                f"field {i}: index out of range for table of {table.shape[0]} rows"
-            )
-        np.multiply(table[idx].T, batch.values[:, i], out=out[:, i, :])
+        rows = params[f"embed.{i}"][batch.indices[:, i]]
+        np.multiply(rows.T, batch.values[:, i], out=out[:, i, :])
     return out
 
 

@@ -28,15 +28,14 @@ def layer_norm(
     and bias: x is [k, ...], so a batch-last activation is reduced across k
     contiguous rows. Returns the cache needed by :func:`layer_norm_backward`.
     """
-    x = np.asarray(x, dtype=np.float64)
     k = x.shape[0]
     x2 = x.reshape(k, -1)
     x_hat = x2 - x2.sum(axis=0) / k
     inv_std = 1.0 / np.sqrt(np.einsum("ij,ij->j", x_hat, x_hat) / k + eps)
     x_hat *= inv_std
-    gain = np.asarray(gain, dtype=np.float64).reshape(k, 1)
+    gain = gain.reshape(k, 1)
     y = x_hat * gain
-    y += np.asarray(bias, dtype=np.float64).reshape(k, 1)
+    y += bias.reshape(k, 1)
     return y.reshape(x.shape), LayerNormCache(x_hat.reshape(x.shape), inv_std, gain)
 
 
@@ -49,9 +48,6 @@ def layer_norm_backward(
     shared across every normalized vector in the batch.
     """
     x_hat, inv_std, gain = cache
-    dy = np.asarray(dy, dtype=np.float64)
-    if dy.shape != x_hat.shape:
-        raise ShapeError(f"layer_norm_backward shapes differ: {dy.shape} vs {x_hat.shape}")
     k = x_hat.shape[0]
     dy2 = dy.reshape(k, -1)
     xh2 = x_hat.reshape(k, -1)
@@ -110,11 +106,7 @@ def mix_seed(*parts: int) -> int:
     """Fold several integers into one 64-bit seed (order-sensitive)."""
     acc = 0x243F6A8885A308D3
     for p in parts:
-        acc = (acc ^ (int(p) & _MASK)) & _MASK
-        acc = (acc + 0x9E3779B97F4A7C15) & _MASK
-        acc = ((acc ^ (acc >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        acc = ((acc ^ (acc >> 27)) * 0x94D049BB133111EB) & _MASK
-        acc = acc ^ (acc >> 31)
+        acc = int(_splitmix64(acc ^ (int(p) & _MASK), 1)[0])
     return acc
 
 

@@ -9,7 +9,6 @@ import numpy as np
 from contextnet.data import EncodedDataset, batch_iter
 from contextnet.metrics import auc, logloss
 from contextnet.model import ModelConfig, Params, loss_and_grads, predict_scores
-from contextnet.ops import ShapeError
 
 
 class TrainingDiverged(RuntimeError):
@@ -17,8 +16,6 @@ class TrainingDiverged(RuntimeError):
 
     def __init__(self, epoch: int, batch_index: int, what: str):
         super().__init__(f"{what} at epoch {epoch}, batch {batch_index}")
-        self.epoch = epoch
-        self.batch_index = batch_index
 
 
 @dataclass
@@ -53,7 +50,6 @@ class EpochStats:
 class TrainHistory:
     epochs: list[EpochStats] = field(default_factory=list)
     best_epoch: int = -1
-    best_val_auc: float = float("nan")
 
     def to_tsv(self) -> str:
         lines = ["epoch\ttrain_loss\tval_auc\tval_logloss\tseconds"]
@@ -108,13 +104,9 @@ def adam_step(params: Params, grads: Params, state: AdamState) -> None:
     state.step += 1
     bc1 = 1.0 - BETA1 ** state.step
     bc2 = 1.0 - BETA2 ** state.step
-    if grads.keys() != params.keys():
-        raise ShapeError("gradient structure does not match parameters")
     with np.errstate(over="raise", invalid="raise"):
         for name, p in params.items():
             g = grads[name]
-            if p.shape != g.shape:
-                raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
             m, v = state.m[name], state.v[name]
             try:
                 m *= BETA1
@@ -143,9 +135,9 @@ def train(
     """
     val_set.require_both_classes("the validation split")
     state = init_adam(params, tconf.lr)
-    history = TrainHistory(best_val_auc=-np.inf)
+    history = TrainHistory()
     best = {name: a.copy() for name, a in params.items()}
-    stale = 0
+    best_auc, stale = -np.inf, 0
     for epoch in range(tconf.max_epochs):
         t0 = time.perf_counter()
         loss_sum = 0.0
@@ -170,10 +162,9 @@ def train(
         history.epochs.append(
             EpochStats(epoch, train_loss, val_auc, val_ll, time.perf_counter() - t0)
         )
-        if val_auc > history.best_val_auc:
+        if val_auc > best_auc:
             best = {name: a.copy() for name, a in params.items()}
-            history.best_epoch = epoch
-            history.best_val_auc = val_auc
+            history.best_epoch, best_auc = epoch, val_auc
             stale = 0
         else:
             stale += 1

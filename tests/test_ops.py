@@ -158,6 +158,15 @@ def splitmix64_loop(seed, n):
     return out
 
 
+def mix_seed_fold(parts):
+    """Reference mix_seed: xor each part, masked to 64 bits, into the
+    accumulator, then take one splitmix64 step from it."""
+    acc = 0x243F6A8885A308D3
+    for p in parts:
+        acc = splitmix64_loop(acc ^ (p & ((1 << 64) - 1)), 1)[0]
+    return acc
+
+
 class TestRng:
     @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 123, 0xDEADBEEFCAFEBABE])
     @pytest.mark.parametrize("n", [1, 5, 4096])
@@ -207,3 +216,9 @@ class TestRng:
     def test_mix_seed_order_sensitive(self):
         assert mix_seed(1, 2) != mix_seed(2, 1)
         assert mix_seed(1, 2) == mix_seed(1, 2)
+
+    @given(st.lists(st.integers(-(2**80), 2**80), max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_mix_seed_matches_fold(self, parts):
+        """Negative and wider-than-64-bit parts are masked like any other."""
+        assert mix_seed(*parts) == mix_seed_fold(parts)

@@ -16,3 +16,16 @@ def test_no_guard_depends_on_assert(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name}: assert statements at lines {lines}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_behaviour_depends_on_debug(path):
+    """`python -O` also makes `__debug__` false; with no assert and no use of
+    `__debug__`, the library runs the same with and without -O."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "__debug__"
+    ]
+    assert lines == [], f"{path.name}: __debug__ used at lines {lines}"
