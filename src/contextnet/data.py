@@ -31,7 +31,7 @@ OOV_INDEX = 0
 _SPLIT_SALT = 0x5911
 _BATCH_SALT = 0xBA7C
 
-CHUNK_LINES = 8192  # data-file lines read, split and coded at a time
+CHUNK_LINES = 4096  # data-file lines read, split and coded at a time
 
 
 class DataError(ValueError):
@@ -142,8 +142,7 @@ def load_records(path: str, schema: list[FieldSchema]) -> list:
         if tabs.count(want - 1) != good:
             good = next(j for j, t in enumerate(tabs) if t != want - 1)
         if good:
-            cells = "\t".join(map(str.rstrip, rows[:good], repeat("\n"))).split("\t")
-            for column, array in zip(parts, _code_chunk(cells, schema, seen, n)):
+            for column, array in zip(parts, _code_chunk(rows[:good], schema, seen, n)):
                 column.append(array)
             n += good
         if good < len(rows):
@@ -163,12 +162,13 @@ def load_records(path: str, schema: list[FieldSchema]) -> list:
     return columns
 
 
-def _code_chunk(cells: list[str], schema, seen: list, first_row: int) -> list:
-    """The arrays of one chunk's columns, from its cells in row-major order:
-    labels, then per field its cells' first-seen keys (new tokens join the
-    field's dict in `seen`) or (values, present). The first bad cell in file
-    order raises DataError."""
+def _code_chunk(rows: list[str], schema, seen: list, first_row: int) -> list:
+    """The arrays of one chunk's columns, from its lines of len(schema) + 1
+    cells: labels, then per field its cells' first-seen keys (new tokens join
+    the field's dict in `seen`) or (values, present). The cell strings live
+    only for this call. The first bad cell in file order raises DataError."""
     want = len(schema) + 1
+    cells = "\t".join(map(str.rstrip, rows, repeat("\n"))).split("\t")
     m = len(cells) // want
     bad = []  # (row in chunk, column, message)
     labels = cells[0::want]
@@ -250,18 +250,20 @@ def build_vocabulary(
 
 @dataclass
 class EncodedDataset:
-    """Rows as three parallel arrays: a whole file, a split, a batch or a
-    scoring chunk (take with a slice returns views)."""
+    """Rows as parallel arrays: a whole file, a split, a batch or a scoring
+    chunk (take with a slice returns views). A categorical field's value is
+    1.0 and is not stored; values holds the numerical fields' values only."""
 
     labels: np.ndarray  # [n] float64 in {0, 1}
-    indices: np.ndarray  # [n, f] int64
-    values: np.ndarray  # [n, f] float64
+    indices: np.ndarray  # [n, f] int32
+    values: np.ndarray  # [n, len(numerical)] float64
+    numerical: tuple[int, ...]  # schema positions of values' columns, ascending
 
     def __len__(self) -> int:
         return self.labels.shape[0]
 
     def take(self, idx) -> "EncodedDataset":
-        return EncodedDataset(self.labels[idx], self.indices[idx], self.values[idx])
+        return EncodedDataset(self.labels[idx], self.indices[idx], self.values[idx], self.numerical)
 
     def require_both_classes(self, what: str) -> None:
         """AUC needs at least one positive and one negative label."""
@@ -272,28 +274,29 @@ class EncodedDataset:
 def encode_dataset(
     columns, schema: list[FieldSchema], vocab: Vocabulary
 ) -> EncodedDataset:
-    """Map every row of a file (as load_records returns it) to (index,
-    value) pairs in schema order, one field at a time.
+    """Map every row of a file (as load_records returns it) to an index per
+    field and a value per numerical field, one field at a time.
 
-    Categorical: (vocab index, 1.0), OOV/missing -> index 0; each field's
-    codes take their indices by one gather. Numerical: (index 0,
-    standardized value), missing -> value 0.0.
+    Categorical: the vocab index, OOV/missing -> index 0; each field's codes
+    take their indices by one gather. Numerical: index 0 and the
+    standardized value, missing -> value 0.0.
     """
     n = len(columns[0])
-    indices = np.zeros((n, len(schema)), dtype=np.int64)
-    values = np.ones((n, len(schema)), dtype=np.float64)
+    numerical = tuple(i for i, f in enumerate(schema) if f.kind == NUMERICAL)
+    indices = np.zeros((n, len(schema)), dtype=np.int32)
+    values = np.empty((n, len(numerical)))
     for i, (f, column) in enumerate(zip(schema, columns[1:])):
         if f.kind == CATEGORICAL:
             codes, tokens = column
             lookup = dict(zip(vocab.tokens.get(f.name, ()), count(1)))
-            index_of = np.fromiter(map(lookup.get, tokens, repeat(OOV_INDEX)), np.int64)
+            index_of = np.fromiter(map(lookup.get, tokens, repeat(OOV_INDEX)), np.int32)
             index_of[0] = OOV_INDEX  # code 0 is the missing value
             indices[:, i] = index_of[codes]
         else:
             x, present = column
             mean, std = vocab.numeric_stats[f.name]
-            values[:, i] = np.where(present, (x - mean) / max(std, 1e-12), 0.0)
-    return EncodedDataset(columns[0], indices, values)
+            values[:, numerical.index(i)] = np.where(present, (x - mean) / max(std, 1e-12), 0.0)
+    return EncodedDataset(columns[0], indices, values, numerical)
 
 
 def split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

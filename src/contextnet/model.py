@@ -229,12 +229,13 @@ class TapeCache:
 
 
 def embed(batch: EncodedDataset, params: Params, config: ModelConfig) -> np.ndarray:
-    """Look up and scale per-field embeddings; returns [k, f, B]."""
+    """Per-field embeddings, numerical fields' rows scaled by their values: [k, f, B]."""
     B = len(batch)
     out = np.empty((config.embed_dim, config.n_fields, B))
     for i in range(config.n_fields):
-        rows = params[f"embed.{i}"][batch.indices[:, i]]
-        np.multiply(rows.T, batch.values[:, i], out=out[:, i, :])
+        out[:, i, :] = params[f"embed.{i}"][batch.indices[:, i]].T
+    for j, i in enumerate(batch.numerical):
+        out[:, i, :] *= batch.values[:, j]
     return out
 
 
@@ -424,9 +425,10 @@ def loss_and_grads(
             d_e0_flat += params[f"agg_w.{sa}"][:, kf].T @ d_agg_pre
 
     d_cur += d_e0_flat.reshape(k, f, B)
+    for j, i in enumerate(batch.numerical):
+        d_cur[:, i, :] *= batch.values[:, j]
     for i in range(f):
-        contrib = d_cur[:, i, :] * batch.values[:, i]
-        scatter_add(grads[f"embed.{i}"], batch.indices[:, i], contrib)
+        scatter_add(grads[f"embed.{i}"], batch.indices[:, i], d_cur[:, i, :])
 
     if config.l2 > 0.0:
         objective = loss + config.l2 * l2_norm(params)

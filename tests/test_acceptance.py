@@ -69,9 +69,7 @@ def _max_rel_grad_error(config, cards, seed):
     for tensor in params.values():
         tensor[...] = rng.normal(tensor.shape, scale=0.4)
     idx = np.stack([integers(rng, 0, c, (6,)) for c in cards], axis=1)
-    batch = EncodedDataset(
-        (rng.random((6,)) < 0.5).astype(float), idx, np.ones((6, len(cards)))
-    )
+    batch = EncodedDataset((rng.random((6,)) < 0.5).astype(float), idx, np.empty((6, 0)), ())
     _, grads = loss_and_grads(batch, params, config)
     worst = 0.0
     for name, tensor in params.items():
@@ -136,7 +134,7 @@ def test_criterion_02_lr_degeneracy():
     params["head_b"][0] = rng.normal((1,))[0]
     idx = np.stack([integers(rng, 0, c, (1000,)) for c in cards], axis=1)
     values = rng.normal((1000, 4), loc=1.0, scale=0.5)
-    batch = EncodedDataset(np.zeros(1000), idx, values)
+    batch = EncodedDataset(np.zeros(1000), idx, values, (0, 1, 2, 3))
     scores, _ = predict(batch, params, config)
 
     worst = 0.0
@@ -177,7 +175,7 @@ def test_criterion_03_hadamard_identity():
         tensor[...] = params[name]
 
     idx = np.stack([integers(rng, 0, c, (512,)) for c in cards], axis=1)
-    batch = EncodedDataset(np.zeros(512), idx, np.ones((512, 3)))
+    batch = EncodedDataset(np.zeros(512), idx, np.empty((512, 0)), ())
     deep, _ = predict(batch, params, deep_config)
     shallow, _ = predict(batch, l0_params, l0_config)
     assert np.array_equal(deep, shallow)
@@ -370,8 +368,8 @@ def ml1m_results():
             seed=2024,
         )
     )
-    n, f = data.tokens.shape
-    ds = EncodedDataset(data.labels, data.tokens + 1, np.ones((n, f)))
+    n = len(data.labels)
+    ds = EncodedDataset(data.labels, data.tokens + 1, np.empty((n, 0)), ())
     tr, va, te = split_indices(n, seed=11)
     train_set = ds.take(tr)
     pos_rate = float(train_set.labels.mean())
@@ -432,7 +430,7 @@ def test_criterion_10_interpretability_identity():
     n = 4000
     idx = np.stack([integers(rng, 0, c, (n,)) for c in cards], axis=1)
     labels = (rng.random((n,)) < 0.5).astype(float)
-    ds = EncodedDataset(labels, idx, np.ones((n, 4)))
+    ds = EncodedDataset(labels, idx, np.empty((n, 0)), ())
     params = init_params(config, cards, seed=55, pos_rate=0.5)
     tconf = TrainConfig(batch_size=256, lr=1e-3, max_epochs=2, patience=5, seed=55)
     trained, _ = train(config, params, ds, ds, tconf)
@@ -442,7 +440,8 @@ def test_criterion_10_interpretability_identity():
         inst = EncodedDataset(
             np.ones(1),
             np.array([[integers(rng, 0, c) for c in cards]], dtype=np.int64),
-            np.ones((1, 4)),
+            np.empty((1, 0)),
+            (),
         )
         report = explain_instance(trained, config, inst)
         total = report.weights.sum() + report.intercept

@@ -87,7 +87,8 @@ def index_of(vocab, name, token):
 # ---------------------------------------------------------------- reference
 # The record-at-a-time encoder the column-wise one replaced. It reads the
 # records of the training split in split order, field after field within a
-# record, and encodes one record into two small arrays at a time.
+# record, and encodes one record into two small arrays at a time: an index
+# per field and a value per numerical field.
 
 
 def reference_vocabulary(train_records, schema, min_count=1):
@@ -119,16 +120,17 @@ def reference_vocabulary(train_records, schema, min_count=1):
 
 
 def reference_encode(record, schema, vocab):
-    indices = np.zeros(len(schema), dtype=np.int64)
-    values = np.zeros(len(schema), dtype=np.float64)
+    indices = np.zeros(len(schema), dtype=np.int32)
+    values = []
     for i, (fs, raw) in enumerate(zip(schema, record[1:])):
         if fs.kind == CATEGORICAL:
             indices[i] = OOV_INDEX if raw == "" else index_of(vocab, fs.name, raw)
-            values[i] = 1.0
-        elif raw != "":
+        elif raw == "":
+            values.append(0.0)
+        else:
             mean, std = vocab.numeric_stats[fs.name]
-            values[i] = (float(raw) - mean) / max(std, 1e-12)
-    return Row(int(record[0]), indices, values)
+            values.append((float(raw) - mean) / max(std, 1e-12))
+    return Row(int(record[0]), indices, np.array(values, dtype=np.float64))
 
 
 def reference_encode_dataset(records, schema, vocab):
@@ -137,6 +139,7 @@ def reference_encode_dataset(records, schema, vocab):
         np.array([r.label for r in rows], dtype=np.float64),
         np.stack([r.indices for r in rows]),
         np.stack([r.values for r in rows]),
+        tuple(i for i, fs in enumerate(schema) if fs.kind != CATEGORICAL),
     )
 
 
@@ -211,23 +214,22 @@ class TestEncodeInstance:
     def test_unseen_token_maps_to_oov(self, schema, vocab):
         inst = encode_one(rec("0", "green", "2", "sq"), schema, vocab)
         assert inst.indices[0] == 0
-        assert inst.values[0] == 1.0
 
     def test_value_at_train_mean_standardizes_to_zero(self, schema, vocab):
         inst = encode_one(rec("1", "red", "2", "sq"), schema, vocab)
-        assert inst.values[1] == pytest.approx(0.0)
+        assert inst.values[0] == pytest.approx(0.0)
 
     def test_hand_encoded_triple(self, schema, vocab):
         # mean 2, population std 1; "red" was seen first -> index 1
         inst = encode_one(rec("1", "red", "3", "sq"), schema, vocab)
         assert inst.label == 1
         assert inst.indices.tolist() == [1, 0, 1]
-        assert inst.values.tolist() == [1.0, 1.0, 1.0]
+        assert inst.values.tolist() == [1.0]  # size only: categorical values are not stored
 
     def test_missing_values(self, schema, vocab):
         inst = encode_one(rec("0", "", "", "sq"), schema, vocab)
-        assert inst.indices[0] == 0 and inst.values[0] == 1.0  # missing cat -> OOV
-        assert inst.indices[1] == 0 and inst.values[1] == 0.0  # missing num -> 0
+        assert inst.indices[0] == 0  # missing cat -> OOV
+        assert inst.indices[1] == 0 and inst.values[0] == 0.0  # missing num -> 0
 
     def test_malformed_label_rejected(self, schema, vocab):
         with pytest.raises(DataError, match="label"):
@@ -282,8 +284,9 @@ def _toy_dataset(n, f=2, seed=0):
     rng = np.random.default_rng(seed)
     return EncodedDataset(
         labels=rng.integers(0, 2, n).astype(float),
-        indices=rng.integers(0, 5, (n, f)),
-        values=np.ones((n, f)),
+        indices=rng.integers(0, 5, (n, f), dtype=np.int32),
+        values=np.empty((n, 0)),
+        numerical=(),
     )
 
 
@@ -521,9 +524,34 @@ class TestEncodeDataset:
         ds = encode_dataset(table(records, schema), schema, vocab)
         assert len(ds) == 2
         assert ds.labels.tolist() == [1.0, 0.0]
-        assert ds.indices.shape == (2, 3)
+        assert (ds.indices.dtype, ds.indices.shape) == (np.int32, (2, 3))
+        assert (ds.values.dtype, ds.values.shape) == (np.float64, (2, 1))
+        assert ds.numerical == (1,)
         inst = ds.take(slice(1, 2))
         assert inst.labels[0] == 0
+
+    @pytest.fixture
+    def mixed(self):
+        """Three numerical fields around two categorical ones: n0 and n2
+        standardize to -1 and 1, n3 has std 0 and one missing cell."""
+        schema = make_schema(
+            [("n0", "num"), ("c1", "cat"), ("n2", "num"), ("n3", "num"), ("c4", "cat")]
+        )
+        records = [["1", "1", "a", "10", "100", "x"], ["0", "3", "b", "30", "", "y"],
+                   ["1", "2", "a", "20", "100", ""]]
+        return encode_dataset(table(records, schema), schema, vocab_of(records[:2], schema))
+
+    def test_values_hold_numerical_fields_in_schema_order(self, mixed):
+        assert mixed.numerical == (0, 2, 3)
+        assert mixed.indices.tolist() == [[0, 1, 0, 0, 1], [0, 2, 0, 0, 2], [0, 1, 0, 0, 0]]
+        assert mixed.values.tolist() == [[-1.0, -1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]]
+
+    @pytest.mark.parametrize("rows", [slice(1, 3), np.array([2, 0])], ids=["slice", "indices"])
+    def test_take_keeps_the_numerical_positions(self, mixed, rows):
+        part = mixed.take(rows)
+        assert part.numerical == (0, 2, 3)
+        assert part.indices.tolist() == mixed.indices[rows].tolist()
+        assert part.values.tolist() == mixed.values[rows].tolist()
 
     @pytest.mark.parametrize(
         "column, raw, what",
@@ -583,6 +611,7 @@ def check_against_reference(case, blank_every=0):
 
     got = encode_dataset(loaded, schema, vocab)
     ref = reference_encode_dataset(records, schema, vocab)
+    assert got.numerical == ref.numerical
     for a, b in zip(
         (got.labels, got.indices, got.values), (ref.labels, ref.indices, ref.values)
     ):

@@ -20,7 +20,7 @@ def randomized_model(config, cards, seed):
 
     A field of cardinality 1 is numerical: its one row is scaled by values
     drawn from N(0, 1.5^2), as encode_dataset scales it by the standardized
-    number. Every other value is 1.0.
+    number. Every other field is categorical.
     """
     rng = Rng(seed)
     params = init_params(config, cards, seed)
@@ -28,10 +28,9 @@ def randomized_model(config, cards, seed):
         tensor[...] = rng.normal(tensor.shape, scale=0.4)
     idx = np.stack([integers(rng, 0, c, (6,)) for c in cards], axis=1)
     labels = (rng.random((6,)) < 0.5).astype(float)
-    values = np.ones((6, len(cards)))
-    numerical = [i for i, c in enumerate(cards) if c == 1]
-    values[:, numerical] = rng.normal((6, len(numerical)), scale=1.5)
-    return params, EncodedDataset(labels, idx, values)
+    numerical = tuple(i for i, c in enumerate(cards) if c == 1)
+    values = rng.normal((6, len(numerical)), scale=1.5)
+    return params, EncodedDataset(labels, idx, values, numerical)
 
 
 def max_rel_error(config, cards, seed=0):

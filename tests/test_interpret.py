@@ -44,7 +44,7 @@ TABLES = [VOCAB.token_table(f) for f in SCHEMA]
 
 def random_instance(rng, cards):
     idx = np.array([[integers(rng, 0, c) for c in cards]], dtype=np.int64)
-    return EncodedDataset(np.ones(1), idx, np.ones((1, len(cards))))
+    return EncodedDataset(np.ones(1), idx, np.empty((1, 0)), ())
 
 
 def trained_like_params(seed=0):
@@ -85,7 +85,7 @@ class TestInstanceWeights:
 def two_instance_corpus():
     """Two hand-picked instances over tiny vocabularies."""
     indices = np.array([[1, 2, 0], [1, 1, 0]], dtype=np.int64)
-    return EncodedDataset(np.array([1.0, 0.0]), indices, np.ones((2, 3)))
+    return EncodedDataset(np.array([1.0, 0.0]), indices, np.empty((2, 0)), ())
 
 
 def ranked_rows(params, ds, mode="norm", alpha=10.0):
@@ -142,7 +142,7 @@ class TestCorpusImportance:
         rng = Rng(13)
         n = 30
         indices = np.stack([integers(rng, 0, c, (n,)) for c in CARDS], axis=1)
-        ds = EncodedDataset(np.ones(n), indices, np.ones((n, 3)))
+        ds = EncodedDataset(np.ones(n), indices, np.empty((n, 0)), ())
         prev = {}
         for size in (10, 20, 30):
             rows = ranked_rows(params, ds.take(np.arange(size)), mode="sum")
@@ -161,8 +161,8 @@ class TestCorpusImportance:
         params = trained_like_params(15)
         n = 3 * 4096
         indices = np.stack([integers(Rng(16), 0, c, (n,)) for c in CARDS], axis=1)
-        ds = EncodedDataset(np.ones(n), indices, np.ones((n, 3)))
-        ds.values[[5000, 9000], 2] = np.nan
+        ds = EncodedDataset(np.ones(n), indices, np.ones((n, 1)), (2,))
+        ds.values[[5000, 9000], 0] = np.nan
         with pytest.raises(NonFiniteScore, match="scored row 5000:"):
             corpus_feature_importance(params, CFG, ds, SCHEMA, TABLES)
 
@@ -292,7 +292,7 @@ class TestBlockDotProducts:
     def test_fresh_small_init_has_near_zero_off_diagonals(self):
         config = ModelConfig(n_fields=4, embed_dim=10, agg_width=5, n_blocks=1)
         params = init_params(config, [9, 9, 9, 9], seed=21)
-        inst = EncodedDataset(np.zeros(1), np.array([[1, 2, 3, 4]]), np.ones((1, 4)))
+        inst = EncodedDataset(np.zeros(1), np.array([[1, 2, 3, 4]]), np.empty((1, 0)), ())
         level0 = explain_instance(params, config, inst).correlations[0]
         off = level0[~np.eye(4, dtype=bool)]
         assert np.abs(off).max() < 0.01

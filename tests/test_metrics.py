@@ -105,7 +105,7 @@ class TestLogloss:
         n = 200
         indices = np.stack([integers(rng, 0, c, (n,)) for c in cards], axis=1)
         labels = (rng.random((n,)) < 0.5).astype(float)
-        batch = EncodedDataset(labels, indices, np.ones((n, 3)))
+        batch = EncodedDataset(labels, indices, np.empty((n, 0)), ())
         loss, _ = loss_and_grads(batch, params, config)
         assert loss == logloss(predict_scores(batch, params, config), labels)
 

@@ -28,11 +28,19 @@ from contextnet.ops import Rng, layer_norm, mix_seed, sigmoid
 from synth import integers
 
 
-def random_batch(rng, size, cards):
-    f = len(cards)
+def random_batch(rng, size, cards, numerical=()):
+    """Random indices and labels; the fields at positions `numerical` have
+    value 1.0 until a test sets them."""
     idx = np.stack([integers(rng, 0, c, (size,)) for c in cards], axis=1)
     labels = (rng.random((size,)) < 0.5).astype(float)
-    return EncodedDataset(labels, idx, np.ones((size, f)))
+    return EncodedDataset(labels, idx, np.ones((size, len(numerical))), numerical)
+
+
+def dense_values(batch, n_fields):
+    """Every field's value, [n, f]: 1.0 for a categorical field."""
+    values = np.ones((len(batch), n_fields))
+    values[:, list(batch.numerical)] = batch.values
+    return values
 
 
 def randomized(params, seed):
@@ -121,7 +129,7 @@ class TestEmbed:
     def test_numeric_zero_value_gives_zero_vector(self):
         p = init_params(CFG, CARDS, seed=0)
         batch = EncodedDataset(
-            np.zeros(1), np.zeros((1, 3), dtype=np.int64), np.zeros((1, 3))
+            np.zeros(1), np.zeros((1, 3), dtype=np.int32), np.zeros((1, 3)), (0, 1, 2)
         )
         assert not embed(batch, p, CFG).any()
 
@@ -129,8 +137,9 @@ class TestEmbed:
         p = init_params(CFG, CARDS, seed=0)
         batch = EncodedDataset(
             np.zeros(1),
-            np.array([[2, 1, 0]], dtype=np.int64),
+            np.array([[2, 1, 0]], dtype=np.int32),
             np.array([[1.0, 1.0, 1.0]]),
+            (0, 1, 2),
         )
         e = embed(batch, p, CFG)
         assert np.array_equal(e[:, 0, 0], p["embed.0"][2])
@@ -142,7 +151,7 @@ class TestEmbed:
         p["embed.0"][...] = [[1.0, 2.0], [3.0, 4.0]]
         p["embed.1"][...] = [[5.0, 6.0]]
         batch = EncodedDataset(
-            np.zeros(1), np.array([[1, 0]], dtype=np.int64), np.array([[1.0, 0.5]])
+            np.zeros(1), np.array([[1, 0]], dtype=np.int32), np.array([[0.5]]), (1,)
         )
         e = embed(batch, p, config)
         assert e[:, :, 0].T.tolist() == [[3.0, 4.0], [2.5, 3.0]]
@@ -150,7 +159,7 @@ class TestEmbed:
     def test_out_of_range_index_rejected(self):
         p = init_params(CFG, CARDS, seed=0)
         batch = EncodedDataset(
-            np.zeros(1), np.array([[9, 0, 0]], dtype=np.int64), np.ones((1, 3))
+            np.zeros(1), np.array([[9, 0, 0]], dtype=np.int32), np.empty((1, 0)), ()
         )
         with pytest.raises(IndexError):
             embed(batch, p, CFG)
@@ -176,7 +185,7 @@ class TestTceForward:
         p["agg_b.0"][...] = 0.0
         p["proj_w.0"][0] = np.eye(2)
         p["proj_b.0"][...] = 0.0
-        batch = EncodedDataset(np.zeros(1), np.array([[1]]), np.ones((1, 1)))
+        batch = EncodedDataset(np.zeros(1), np.array([[1]]), np.empty((1, 0)), ())
         _, tape = predict(batch, p, config)
         assert tape.context[0][:, 0, 0].tolist() == [1.0, 0.0]
 
@@ -230,7 +239,7 @@ class TestBlockForward:
         e_prev = np.array([[0.3, -0.9], [2.0, 1.0]])
         p["embed.0"][1] = e_prev[0]
         p["embed.1"][1] = e_prev[1]
-        batch = EncodedDataset(np.zeros(1), np.array([[1, 1]]), np.ones((1, 2)))
+        batch = EncodedDataset(np.zeros(1), np.array([[1, 1]]), np.empty((1, 0)), ())
         _, tape = predict(batch, p, config)
         want, _ = layer_norm(e_prev.T, np.ones(2), np.zeros(2), eps=1e-5)
         assert np.allclose(tape.stages[1][:, :, 0], want, atol=1e-15)
@@ -258,12 +267,14 @@ class TestPredict:
         rng = Rng(4)
         p["head_w"][...] = rng.normal((12,))
         p["head_b"][0] = rng.normal((1,))[0]
-        batch = random_batch(rng, 1000, CARDS)
+        batch = random_batch(rng, 1000, CARDS, numerical=(2,))
+        batch.values[:, 0] = rng.normal((1000,), loc=1.0, scale=0.5)
         scores, _ = predict(batch, p, config)
+        values = dense_values(batch, 3)
         for i in range(1000):
             acc = p["head_b"][0]
             for fld in range(3):
-                e = p[f"embed.{fld}"][batch.indices[i, fld]] * batch.values[i, fld]
+                e = p[f"embed.{fld}"][batch.indices[i, fld]] * values[i, fld]
                 acc += float(np.dot(p["head_w"][fld * 4 : (fld + 1) * 4], e))
             lr_score = 1.0 / (1.0 + np.exp(-acc))
             assert abs(scores[i] - lr_score) < 1e-12
@@ -287,7 +298,7 @@ class TestPredict:
         p["head_w"][...] = [0.4, -0.3, 0.2, 0.1]
         p["head_b"][0] = 0.05
 
-        batch = EncodedDataset(np.ones(1), np.array([[1, 1]]), np.ones((1, 2)))
+        batch = EncodedDataset(np.ones(1), np.array([[1, 1]]), np.empty((1, 0)), ())
         scores, _ = predict(batch, p, config)
 
         # embedding layer: E = [1, 2, -1, 0.5]
@@ -390,8 +401,8 @@ class TestScoringWithoutTape:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NumPy's, for the nan rows
     def test_non_finite_logit_names_first_bad_row(self):
         p = randomized(init_params(CFG, CARDS, seed=20), 21)
-        data = random_batch(Rng(22), 2 * 8192 + 5, CARDS)
-        data.values[[9000, 12000], 1] = [np.nan, np.inf]
+        data = random_batch(Rng(22), 2 * 8192 + 5, CARDS, numerical=(1,))
+        data.values[[9000, 12000], 0] = [np.nan, np.inf]
         with pytest.raises(NonFiniteScore, match="scored row 9000:"):
             predict_scores(data, p, CFG)
 
@@ -400,8 +411,9 @@ def einsum_forward(batch, p, config):
     """The paper's forward pass written row-major on [B, f, k] with einsum,
     independently of predict's batch-last layout: returns the stages
     (embedding layer, then each block's output) and the scores."""
+    values = dense_values(batch, config.n_fields)
     e0 = np.stack(
-        [p[f"embed.{i}"][batch.indices[:, i]] * batch.values[:, i, None]
+        [p[f"embed.{i}"][batch.indices[:, i]] * values[:, i, None]
          for i in range(config.n_fields)],
         axis=1,
     )
@@ -438,8 +450,8 @@ class TestForwardOracle:
     @pytest.mark.parametrize("config", NO_TAPE_CONFIGS, ids=repr)
     def test_matches_einsum_forward(self, config):
         p = randomized(init_params(config, CARDS, seed=23), 24)
-        batch = random_batch(Rng(25), 300, CARDS)
-        batch.values[:, 1] = Rng(26).normal((300,))  # a numerical-style field
+        batch = random_batch(Rng(25), 300, CARDS, numerical=(1,))
+        batch.values[:, 0] = Rng(26).normal((300,))  # field 1's values
         scores, tape = predict(batch, p, config)
         stages, want = einsum_forward(batch, p, config)
         assert np.abs(scores - want).max() <= 1e-12

@@ -2,7 +2,15 @@
 import numpy as np
 import pytest
 
-from contextnet.data import DataError, EncodedDataset
+from contextnet.data import (
+    DataError,
+    EncodedDataset,
+    build_vocabulary,
+    cardinalities,
+    encode_dataset,
+    load_records,
+    make_schema,
+)
 from contextnet.metrics import logloss
 from contextnet.model import ModelConfig, init_params, predict_scores
 from contextnet.ops import Rng
@@ -95,7 +103,7 @@ def _linearly_separable(n=400, seed=0):
     idx = np.zeros((n, 2), dtype=np.int64)
     idx[:, 0] = np.where(labels == 1.0, 1, 2)
     idx[:, 1] = integers(rng, 0, 5, (n,))
-    return EncodedDataset(labels, idx, np.ones((n, 2)))
+    return EncodedDataset(labels, idx, np.empty((n, 0)), ())
 
 
 class TestTrainLoop:
@@ -114,6 +122,27 @@ class TestTrainLoop:
         ds = _linearly_separable(400, seed=7)
         params = init_params(CFG, CARDS, seed=7, pos_rate=float(ds.labels.mean()))
         tconf = TrainConfig(batch_size=32, lr=3e-3, max_epochs=5, patience=5, seed=7)
+        _, history = train(CFG, params, ds, ds, tconf)
+        losses = [e.train_loss for e in history.epochs]
+        assert all(b < a for a, b in zip(losses, losses[1:]))
+
+    def test_all_categorical_file_trains(self, tmp_path):
+        """A file of categorical fields only encodes to values of shape
+        (n, 0), and the loss falls epoch by epoch on it."""
+        rng = Rng(11)
+        labels = (rng.random((400,)) < 0.5).astype(int).tolist()
+        path = tmp_path / "data.tsv"
+        path.write_text("".join(
+            f"{y}\t{'np'[y]}{k % 2}\tb{k}\n"
+            for y, k in zip(labels, integers(rng, 0, 5, (400,)).tolist())
+        ))
+        schema = make_schema([("a", "cat"), ("b", "cat")])
+        columns = load_records(str(path), schema)
+        vocab = build_vocabulary(columns, schema, range(400))
+        ds = encode_dataset(columns, schema, vocab)
+        assert (ds.values.shape, ds.numerical) == ((400, 0), ())
+        params = init_params(CFG, cardinalities(schema, vocab), seed=11, pos_rate=0.5)
+        tconf = TrainConfig(batch_size=32, lr=3e-3, max_epochs=5, patience=5, seed=11)
         _, history = train(CFG, params, ds, ds, tconf)
         losses = [e.train_loss for e in history.epochs]
         assert all(b < a for a, b in zip(losses, losses[1:]))
