@@ -58,19 +58,19 @@ _OPTS = {
         ("data", str, REQUIRED, "training data file (tsv)"),
         ("schema", str, REQUIRED, "schema file (name<TAB>kind per line)"),
         ("out", str, REQUIRED, "output directory"),
-        ("seed", int, 0, "seed for split/init/shuffle"),
+        ("seed", int, TrainConfig.seed, "seed for split/init/shuffle"),
         ("min_count", int, 1, "minimum token count for the vocabulary"),
-        ("embed_dim", int, 10, "embedding size per field"),
-        ("agg_width", int, 20, "aggregation layer width"),
-        ("blocks", int, 3, "number of refinement blocks (0 = logistic regression)"),
-        ("variant", str, "sffn", "block variant: pffn | sffn"),
-        ("sharing", str, "none", "cross-block sharing: none | agg | agg-proj"),
+        ("embed_dim", int, ModelConfig.embed_dim, "embedding size per field"),
+        ("agg_width", int, ModelConfig.agg_width, "aggregation layer width"),
+        ("blocks", int, ModelConfig.n_blocks, "number of refinement blocks (0 = logistic regression)"),
+        ("variant", str, ModelConfig.variant, "block variant: pffn | sffn"),
+        ("sharing", str, ModelConfig.sharing, "cross-block sharing: none | agg | agg-proj"),
         ("ablate", str, "", "comma list from {tce,ffn,ln,rc} to remove"),
-        ("l2", float, 0.0, "l2 penalty coefficient"),
-        ("batch_size", int, 1024, "mini-batch size"),
-        ("lr", float, 1e-4, "Adam learning rate"),
-        ("epochs", int, 20, "maximum training epochs"),
-        ("patience", int, 2, "non-improving epochs tolerated before stopping"),
+        ("l2", float, ModelConfig.l2, "l2 penalty coefficient"),
+        ("batch_size", int, TrainConfig.batch_size, "mini-batch size"),
+        ("lr", float, TrainConfig.lr, "Adam learning rate"),
+        ("epochs", int, TrainConfig.max_epochs, "maximum training epochs"),
+        ("patience", int, TrainConfig.patience, "non-improving epochs tolerated before stopping"),
     ],
     "evaluate": [
         *_MODEL_INPUT_OPTS,
@@ -189,8 +189,9 @@ def cmd_train(opts: dict) -> int:
     with open(os.path.join(out_dir, "metrics.txt"), "w", encoding="utf-8") as fh:
         fh.write(f"test_auc\t{test_auc:.10f}\n")
         fh.write(f"test_logloss\t{test_ll:.10f}\n")
-    kept = history.epochs[history.best_epoch]
-    print(f"trained {len(history.epochs)} epochs; best val AUC {kept.val_auc:.6f} at epoch {kept.epoch}")
+    kept = history.best_epoch
+    print(f"trained {len(history.epochs)} epochs; best val AUC "
+          f"{history.epochs[kept].val_auc:.6f} at epoch {kept}")
     print(f"test_auc\t{test_auc:.10f}")
     print(f"test_logloss\t{test_ll:.10f}")
     print(f"outputs in {out_dir}")

@@ -342,8 +342,9 @@ def save_vocabulary(vocab: Vocabulary, path: str) -> None:
 
 
 def load_vocabulary(path: str) -> Vocabulary:
-    """Read save_vocabulary's format: each field's token lines in index order
-    1..n (else DataError naming path:line) and no token twice in a field."""
+    """Read save_vocabulary's format, else DataError naming the file: each
+    field's token lines in index order 1..n, no token twice in a field, and
+    one stats line per numerical field."""
     vocab = Vocabulary()
     lines = text_lines(path)
     if next(lines, (1, ""))[1] != f"{_VOCAB_MAGIC}\t{_VOCAB_VERSION}":
@@ -365,6 +366,8 @@ def load_vocabulary(path: str) -> Vocabulary:
                 raise DataError(f"{path}:{lineno}: field {parts[0]!r}: "
                                 f"expected index {len(tokens)}, got {parts[2]!r}")
             continue
+        if parts[0] in vocab.numeric_stats:
+            raise DataError(f"{path}:{lineno}: field {parts[0]!r}: numeric stats given twice")
         try:
             mean, std = float(parts[1]), float(parts[2])
         except ValueError:

@@ -69,8 +69,8 @@ def corpus_feature_importance(
     dataset: EncodedDataset,
     schema: list[FieldSchema],
     tables: list[list[str]],
-    mode: str = IMPORTANCE_NORM,
-    alpha: float = 10.0,
+    mode: str,
+    alpha: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Aggregate |per-field weight| per feature value over a dataset.
 

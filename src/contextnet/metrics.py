@@ -5,23 +5,19 @@ import numpy as np
 
 
 def auc(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Mann-Whitney AUC with average ranks for tied scores.
-
-    Equals the probability that a uniformly chosen positive outranks a
-    uniformly chosen negative, ties counting one half.
-    """
+    """Mann-Whitney AUC: the probability that a uniformly chosen positive
+    outranks a uniformly chosen negative, ties counting one half. Binary
+    search in the sorted negatives counts U, the numerator, exactly."""
     scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    n = scores.shape[0]
-    pos = labels == 1
-    n_pos = int(pos.sum())
-    n_neg = n - n_pos
-    if n_pos == 0 or n_neg == 0:
+    pos = np.asarray(labels) == 1
+    hit, neg = scores[pos], scores[~pos]
+    if hit.size == 0 or neg.size == 0:
         raise ValueError("AUC is undefined when only one class is present")
-    _, group, ties = np.unique(scores, return_inverse=True, return_counts=True)
-    group_rank = np.cumsum(ties) - (ties - 1) / 2.0  # average 1-based rank
-    rank_sum = group_rank[group[pos]].sum()
-    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    hit.sort()  # sorted keys keep the searches cache-friendly
+    neg.sort()
+    below = np.searchsorted(neg, hit, "left").sum()
+    tied = np.searchsorted(neg, hit, "right").sum() - below
+    return float((below + tied / 2.0) / (hit.size * neg.size))
 
 
 def logloss(scores: np.ndarray, labels: np.ndarray) -> float:

@@ -26,7 +26,6 @@ from contextnet.data import EncodedDataset
 from contextnet.metrics import logloss
 from contextnet.ops import (
     Rng,
-    ShapeError,
     layer_norm,
     layer_norm_backward,
     logit,
@@ -105,23 +104,11 @@ class ModelConfig:
     def has_ln(self) -> bool:
         return self.has_ffn and not self.no_ln
 
-    @property
-    def n_agg_slots(self) -> int:
-        if not self.has_tce:
-            return 0
-        return 1 if self.sharing in (SHARE_AGG, SHARE_AGG_PROJ) else self.n_blocks
-
-    @property
-    def n_proj_slots(self) -> int:
-        if not self.has_tce:
-            return 0
-        return 1 if self.sharing == SHARE_AGG_PROJ else self.n_blocks
-
     def agg_slot(self, block: int) -> int:
-        return 0 if self.n_agg_slots == 1 else block
+        return 0 if self.sharing in (SHARE_AGG, SHARE_AGG_PROJ) else block
 
     def proj_slot(self, block: int) -> int:
-        return 0 if self.n_proj_slots == 1 else block
+        return 0 if self.sharing == SHARE_AGG_PROJ else block
 
 
 def param_shapes(config: ModelConfig, cardinalities: list[int]) -> dict[str, tuple]:
@@ -134,20 +121,19 @@ def param_shapes(config: ModelConfig, cardinalities: list[int]) -> dict[str, tup
     otherwise). Biases exist only where the architecture carries them: the
     sffn map has none.
     """
-    if len(cardinalities) != config.n_fields:
-        raise ShapeError(
-            f"{len(cardinalities)} cardinalities for {config.n_fields} fields"
-        )
     k, t, f, m = config.embed_dim, config.agg_width, config.n_fields, config.flat_dim
+    tce_blocks = range(config.n_blocks if config.has_tce else 0)
+    n_agg = len({config.agg_slot(b) for b in tce_blocks})
+    n_proj = len({config.proj_slot(b) for b in tce_blocks})
     n_ffn = config.n_blocks if config.has_ffn else 0
     n_pffn = n_ffn if config.variant == PFFN else 0
     n_ln = config.n_blocks if config.has_ln else 0
     shapes = {f"embed.{i}": (card, k) for i, card in enumerate(cardinalities)}
     for kind, count, shape in (
-        ("agg_w", config.n_agg_slots, (t, m)),
-        ("agg_b", config.n_agg_slots, (t,)),
-        ("proj_w", config.n_proj_slots, (f, k, t)),
-        ("proj_b", config.n_proj_slots, (f, k)),
+        ("agg_w", n_agg, (t, m)),
+        ("agg_b", n_agg, (t,)),
+        ("proj_w", n_proj, (f, k, t)),
+        ("proj_b", n_proj, (f, k)),
         ("ffn_w1", n_ffn, (k, k)),
         ("ffn_b1", n_pffn, (k,)),
         ("ffn_w2", n_pffn, (k, k)),

@@ -11,10 +11,6 @@ from typing import NamedTuple
 import numpy as np
 
 
-class ShapeError(ValueError):
-    """Operand shapes are incompatible for the requested kernel."""
-
-
 class LayerNormCache(NamedTuple):
     x_hat: np.ndarray  # the input's shape
     inv_std: np.ndarray  # one per normalized vector, flat
@@ -126,8 +122,7 @@ class Rng:
     _LANES = 1024
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & _MASK
-        words = _splitmix64(self.seed, 4 * self._LANES)
+        words = _splitmix64(seed, 4 * self._LANES)
         self._s = [words[i :: 4].copy() for i in range(4)]
         self._buf = np.empty(0, dtype=np.uint64)
         self._pos = 0

@@ -39,7 +39,6 @@ class TrainConfig:
 
 @dataclass
 class EpochStats:
-    epoch: int
     train_loss: float
     val_auc: float
     val_logloss: float
@@ -53,9 +52,9 @@ class TrainHistory:
 
     def to_tsv(self) -> str:
         lines = ["epoch\ttrain_loss\tval_auc\tval_logloss\tseconds"]
-        for e in self.epochs:
+        for i, e in enumerate(self.epochs):
             lines.append(
-                f"{e.epoch}\t{e.train_loss:.10f}\t{e.val_auc:.10f}"
+                f"{i}\t{e.train_loss:.10f}\t{e.val_auc:.10f}"
                 f"\t{e.val_logloss:.10f}\t{e.seconds:.3f}"
             )
         return "\n".join(lines) + "\n"
@@ -86,11 +85,11 @@ class AdamState:
 
     m: Params
     v: Params
+    lr: float
     step: int = 0
-    lr: float = 1e-4
 
 
-def init_adam(params: Params, lr: float = 1e-4) -> AdamState:
+def init_adam(params: Params, lr: float) -> AdamState:
     return AdamState(
         m={name: np.zeros_like(a) for name, a in params.items()},
         v={name: np.zeros_like(a) for name, a in params.items()},
@@ -141,7 +140,6 @@ def train(
     for epoch in range(tconf.max_epochs):
         t0 = time.perf_counter()
         loss_sum = 0.0
-        n_batches = 0
         for batch_index, batch in enumerate(
             batch_iter(train_set, tconf.batch_size, tconf.seed, epoch)
         ):
@@ -153,14 +151,13 @@ def train(
             except FloatingPointError as exc:
                 raise TrainingDiverged(epoch, batch_index, str(exc)) from None
             loss_sum += objective
-            n_batches += 1
-        train_loss = loss_sum / max(n_batches, 1)
+        train_loss = loss_sum / (batch_index + 1)
 
         val_scores = predict_scores(val_set, params, config)
         val_auc = auc(val_scores, val_set.labels)
         val_ll = logloss(val_scores, val_set.labels)
         history.epochs.append(
-            EpochStats(epoch, train_loss, val_auc, val_ll, time.perf_counter() - t0)
+            EpochStats(train_loss, val_auc, val_ll, time.perf_counter() - t0)
         )
         if val_auc > best_auc:
             best = {name: a.copy() for name, a in params.items()}

@@ -648,6 +648,8 @@ TRAIN = ["train", "--data", "{data}", "--schema", "{schema}", "--out", "{out}",
          "--epochs", "1"]
 MODEL = ["--checkpoint", "{checkpoint}", "--vocab", "{vocab}", "--schema", "{schema}",
          "--data", "{data}"]
+NUM_MODEL = ["--checkpoint", "{num_checkpoint}", "--vocab", "{num_vocab}",
+             "--schema", "{num_schema}", "--data", "{num_data}"]
 NOT_UTF8 = "not UTF-8 text (invalid start byte)"
 
 # argv (a later flag overrides an earlier one), exit code, the one stderr line
@@ -845,10 +847,13 @@ ERROR_CASES = {
         "{ckpt_fields}: corrupt header: n_fields must be >= 1",
     ),
     "vocab-without-numeric-stats": (
-        ["evaluate", "--checkpoint", "{num_checkpoint}", "--vocab", "{num_vocab}",
-         "--schema", "{num_schema}", "--data", "{num_data}"],
+        ["evaluate", *NUM_MODEL], 3, "vocabulary is missing numeric stats for 'x'"
+    ),
+    # a second stats line for a field would otherwise replace the first
+    "vocab-numeric-stats-twice": (
+        ["evaluate", *NUM_MODEL, "--vocab", "{num_vocab_twice}"],
         3,
-        "vocabulary is missing numeric stats for 'x'",
+        "{num_vocab_twice}:{num_twice_line}: field 'x': numeric stats given twice",
     ),
     "schema-unknown-kind": (
         TRAIN + ["--schema", "{kind_schema}"],
@@ -895,6 +900,7 @@ def error_paths(tmp_path_factory, synth_dir, run_dir, numeric_dir):
     num_run = numeric_dir / "run"
     num_vocab = (num_run / "vocab.txt").read_text().splitlines(keepends=True)
     (d / "num_vocab.txt").write_text("".join(x for x in num_vocab if not x.startswith("x\t")))
+    (d / "num_vocab_twice.txt").write_text("".join(num_vocab) + "x\t5.0\t2.0\n")
     return {
         "data": os.path.join(synth_dir, "data.tsv"),
         "schema": os.path.join(synth_dir, "schema.tsv"),
@@ -916,6 +922,8 @@ def error_paths(tmp_path_factory, synth_dir, run_dir, numeric_dir):
         "ckpt_fields": str(d / "fields.bin"),
         "num_checkpoint": str(num_run / "checkpoint.bin"),
         "num_vocab": str(d / "num_vocab.txt"),
+        "num_vocab_twice": str(d / "num_vocab_twice.txt"),
+        "num_twice_line": len(num_vocab) + 1,
         "num_schema": str(numeric_dir / "schema.tsv"),
         "num_data": str(numeric_dir / "data.tsv"),
         **{f"vocab_{name}": str(d / f"vocab_{name}.txt") for name in edits},

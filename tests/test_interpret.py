@@ -164,7 +164,7 @@ class TestCorpusImportance:
         ds = EncodedDataset(np.ones(n), indices, np.ones((n, 1)), (2,))
         ds.values[[5000, 9000], 0] = np.nan
         with pytest.raises(NonFiniteScore, match="scored row 5000:"):
-            corpus_feature_importance(params, CFG, ds, SCHEMA, TABLES)
+            corpus_feature_importance(params, CFG, ds, SCHEMA, TABLES, "norm", 10.0)
 
 
 def oracle_lines(params, config, dataset, schema, vocab, mode, alpha):

@@ -1,4 +1,7 @@
-"""Metric tests: AUC vs pairwise oracle, log loss, relative improvement."""
+"""Metric tests: AUC vs pairwise and average-rank oracles, log loss,
+relative improvement."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +30,32 @@ def pairwise_auc(scores, labels):
     return wins / (len(pos) * len(neg))
 
 
+def average_rank_auc(scores, labels):
+    """Rank-sum oracle: each tie group takes its average 1-based rank, and
+    U is the positives' rank sum less its minimum n_pos * (n_pos + 1) / 2."""
+    scores = np.asarray(scores, dtype=np.float64)
+    pos = np.asarray(labels) == 1
+    n_pos = int(pos.sum())
+    n_neg = scores.shape[0] - n_pos
+    _, group, ties = np.unique(scores, return_inverse=True, return_counts=True)
+    group_rank = np.cumsum(ties) - (ties - 1) / 2.0
+    rank_sum = group_rank[group[pos]].sum()
+    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def random_case(seed, n, levels, pos_rate):
+    """n scores quantized to `levels` steps (0 = not quantized) and float
+    labels of both classes."""
+    rng = Rng(seed)
+    scores = rng.random((n,))
+    if levels:
+        scores = np.round(scores * levels) / levels
+    labels = (rng.random((n,)) < pos_rate).astype(np.float64)
+    if labels.min() == labels.max():
+        labels[0] = 1.0 - labels[0]
+    return scores, labels
+
+
 class TestAuc:
     def test_perfect_separation(self):
         assert auc([0.1, 0.2, 0.8, 0.9], [0, 0, 1, 1]) == 1.0
@@ -51,9 +80,31 @@ class TestAuc:
         labels = (rng.random((n,)) < 0.5).astype(int)
         if labels.min() == labels.max():
             labels[0] = 1 - labels[0]
-        assert auc(scores, labels) == pytest.approx(
-            pairwise_auc(scores, labels), abs=1e-12
-        )
+        assert auc(scores, labels) == pairwise_auc(scores, labels)  # U is exact
+
+    @given(
+        seed=st.integers(0, 2**32),
+        n=st.integers(2, 100_000),
+        levels=st.sampled_from([0, 1, 8, 1000]),
+        pos_rate=st.sampled_from([0.001, 0.3, 0.5, 0.97]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bit_equal_to_average_rank_formula(self, seed, n, levels, pos_rate):
+        scores, labels = random_case(seed, n, levels, pos_rate)
+        assert auc(scores, labels) == average_rank_auc(scores, labels)
+
+    def test_memory_per_row(self):
+        """The two classes' sorted scores and one search's counts: under 24
+        bytes per row (the average-rank formula's np.unique takes about 66)."""
+        n = 100_000
+        scores, labels = random_case(7, n, 0, 0.3)
+        tracemalloc.start()
+        try:
+            auc(scores, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * n, peak / n
 
     @given(seed=st.integers(0, 2**32))
     @settings(max_examples=40, deadline=None)

@@ -100,10 +100,6 @@ class TestInit:
         flat = np.concatenate([p[f"embed.{i}"].ravel() for i in range(3)])
         assert abs(flat.std() - 0.01) < 0.003
 
-    def test_cardinality_count_mismatch_rejected(self):
-        with pytest.raises(Exception):
-            init_params(CFG, [5, 4], seed=0)
-
     def test_weights_drawn_block_by_block(self):
         """The draw order (ffn_w1.b, then ffn_w2.b, per block) differs from
         the mapping's order (every ffn_w1 before any ffn_w2)."""
@@ -727,6 +723,16 @@ class TestCheckpoint:
         header[key] = value
         write_raw(path, header, tensors)
         with pytest.raises(CheckpointError, match="corrupt header"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("cards", [CARDS[:-1], CARDS + [3]], ids=["dropped", "extra"])
+    def test_cardinality_count_mismatch_rejected(self, tmp_path, cards):
+        """The header's config and cardinalities must agree on the field count."""
+        path = self.saved(tmp_path)
+        header, tensors = read_raw(path)
+        header["cardinalities"] = cards
+        write_raw(path, header, tensors)
+        with pytest.raises(CheckpointError, match="corrupt header: bad sizes"):
             load_checkpoint(path)
 
     def test_header_missing_tensor_rejected(self, tmp_path):

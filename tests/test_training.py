@@ -93,7 +93,7 @@ class TestAdam:
         grads = zeros_like(params)
         grads["head_b"][0] = 1e200  # its square, in the second moment, overflows
         with pytest.raises(FloatingPointError, match="^Adam update of head_b: overflow"):
-            adam_step(params, grads, init_adam(params))
+            adam_step(params, grads, init_adam(params, lr=1e-3))
 
 
 def _linearly_separable(n=400, seed=0):
@@ -223,7 +223,7 @@ class TestCalibrationWarning:
 
     @staticmethod
     def history(val_loglosses, best_epoch):
-        epochs = [EpochStats(i, 0.5, 0.7, ll, 1.0) for i, ll in enumerate(val_loglosses)]
+        epochs = [EpochStats(0.5, 0.7, ll, 1.0) for ll in val_loglosses]
         return TrainHistory(epochs, best_epoch)
 
     def test_kept_epoch_above_prior_warns(self):
