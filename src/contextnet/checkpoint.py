@@ -69,8 +69,8 @@ def load_checkpoint(path: str) -> tuple[Params, ModelConfig, dict]:
             config = ModelConfig(**header["config"])
             cards = header["cardinalities"]
             sizes = [config.n_fields, config.embed_dim, config.agg_width, config.n_blocks]
-            if (not all(type(n) is int for n in sizes + cards) or min(cards) < 1
-                    or len(cards) != config.n_fields):
+            if (not all(type(n) is int for n in sizes + cards) or len(cards) != config.n_fields
+                    or min(cards) < 1):
                 raise ValueError(f"bad sizes: config {sizes}, cardinalities {cards}")
             if type(header["seed"]) is not int:
                 raise ValueError(f"seed {header['seed']!r} is not an integer")

@@ -14,6 +14,7 @@ order.
 """
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -71,23 +72,16 @@ def text_chunks(path: str, size: int):
             raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def text_lines(path: str):
-    """Yield (line number, line) for each non-empty line of a UTF-8 text
-    file, without its newline; bytes that are not UTF-8 raise DataError."""
-    for first, lines in text_chunks(path, CHUNK_LINES):
-        for lineno, line in enumerate(lines, start=first):
-            line = line.rstrip("\n")
-            if line:
-                yield lineno, line
-
-
 def load_schema(path: str) -> list[FieldSchema]:
     pairs = []
-    for lineno, line in text_lines(path):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise DataError(f"{path}:{lineno}: expected 'name<TAB>kind'")
-        pairs.append((parts[0], parts[1]))
+    for first, lines in text_chunks(path, CHUNK_LINES):
+        for lineno, line in enumerate(lines, start=first):
+            if line == "\n":
+                continue
+            parts = line.rstrip("\n").split("\t")
+            if len(parts) != 2:
+                raise DataError(f"{path}:{lineno}: expected 'name<TAB>kind'")
+            pairs.append((parts[0], parts[1]))
     if not pairs:
         raise DataError(f"{path}: empty schema file")
     try:
@@ -98,9 +92,9 @@ def load_schema(path: str) -> list[FieldSchema]:
 
 @dataclass
 class Vocabulary:
-    """Per-field tokens in index order, the first at index 1 (index 0 is
-    reserved for OOV/missing; a field that kept no token may be absent),
-    and train-split mean/std for numerical fields."""
+    """Per categorical field its tokens in index order, the first at index 1
+    (index 0 is reserved for OOV/missing; a field that kept no token lists
+    none), and per numerical field the train-split mean/std."""
 
     tokens: dict[str, list[str]] = field(default_factory=dict)
     numeric_stats: dict[str, tuple[float, float]] = field(default_factory=dict)
@@ -108,7 +102,7 @@ class Vocabulary:
     def token_table(self, f: FieldSchema) -> list[str]:
         """The token of each of field f's indices: "<oov>" at index 0, and a
         numerical field's one entry is "<numeric>"."""
-        return ["<numeric>"] if f.kind == NUMERICAL else ["<oov>", *self.tokens.get(f.name, ())]
+        return ["<numeric>"] if f.kind == NUMERICAL else ["<oov>", *self.tokens[f.name]]
 
 
 _LABELS = {"0": 0.0, "1": 1.0}
@@ -245,6 +239,8 @@ def build_vocabulary(
             mean += delta / n
             m2 += delta * (v - mean)
         vocab.numeric_stats[f.name] = (mean, math.sqrt(m2 / n) if n > 0 else 0.0)
+        if not all(map(math.isfinite, vocab.numeric_stats[f.name])):
+            raise DataError(f"field {f.name!r}: mean or std of its values overflows float64")
     return vocab
 
 
@@ -288,7 +284,7 @@ def encode_dataset(
     for i, (f, column) in enumerate(zip(schema, columns[1:])):
         if f.kind == CATEGORICAL:
             codes, tokens = column
-            lookup = dict(zip(vocab.tokens.get(f.name, ()), count(1)))
+            lookup = dict(zip(vocab.tokens[f.name], count(1)))
             index_of = np.fromiter(map(lookup.get, tokens, repeat(OOV_INDEX)), np.int32)
             index_of[0] = OOV_INDEX  # code 0 is the missing value
             indices[:, i] = index_of[codes]
@@ -326,67 +322,55 @@ def batch_iter(dataset: EncodedDataset, batch_size: int, seed: int, epoch: int =
         yield dataset.take(perm[start : start + batch_size])
 
 
-_VOCAB_MAGIC = "#contextnet-vocab"
-_VOCAB_VERSION = 1
+_VOCAB_FORMAT = ["contextnet-vocab", 2]
 
 
 def save_vocabulary(vocab: Vocabulary, path: str) -> None:
+    doc = {"format": _VOCAB_FORMAT, "tokens": vocab.tokens, "numeric_stats": vocab.numeric_stats}
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{_VOCAB_MAGIC}\t{_VOCAB_VERSION}\n#tokens\n")
-        for fname, tokens in vocab.tokens.items():
-            for idx, token in enumerate(tokens, start=1):
-                fh.write(f"{fname}\t{token}\t{idx}\n")
-        fh.write("#numeric-stats\n")
-        for fname, (mean, std) in vocab.numeric_stats.items():
-            fh.write(f"{fname}\t{mean!r}\t{std!r}\n")
+        fh.write(json.dumps(doc, allow_nan=False) + "\n")
+
+
+def _json_object(pairs: list) -> dict:
+    """A JSON object as a dict; a key given twice (json keeps the last) raises DataError."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        repeated = [k for k, n in Counter(k for k, _ in pairs).items() if n > 1]
+        raise DataError(f"key {repeated[0]!r} given twice")
+    return obj
 
 
 def load_vocabulary(path: str) -> Vocabulary:
-    """Read save_vocabulary's format, else DataError naming the file: each
-    field's token lines in index order 1..n, no token twice in a field, and
-    one stats line per numerical field."""
-    vocab = Vocabulary()
-    lines = text_lines(path)
-    if next(lines, (1, ""))[1] != f"{_VOCAB_MAGIC}\t{_VOCAB_VERSION}":
-        raise DataError(f"{path}: not a version-{_VOCAB_VERSION} vocabulary file")
-    section = None
-    for lineno, line in lines:
-        if line in ("#tokens", "#numeric-stats"):  # a field name may start with '#'
-            section = line
-            continue
-        if section is None:
-            raise DataError(f"{path}:{lineno}: line outside a known section")
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise DataError(f"{path}:{lineno}: expected 3 columns, got {len(parts)}")
-        if section == "#tokens":
-            tokens = vocab.tokens.setdefault(parts[0], [])
-            tokens.append(parts[1])
-            if parts[2] != str(len(tokens)):
-                raise DataError(f"{path}:{lineno}: field {parts[0]!r}: "
-                                f"expected index {len(tokens)}, got {parts[2]!r}")
-            continue
-        if parts[0] in vocab.numeric_stats:
-            raise DataError(f"{path}:{lineno}: field {parts[0]!r}: numeric stats given twice")
-        try:
-            mean, std = float(parts[1]), float(parts[2])
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: malformed number") from None
-        if not (np.isfinite(mean) and 0.0 <= std < np.inf):
-            raise DataError(
-                f"{path}:{lineno}: field {parts[0]!r}: mean {mean} and std {std} "
-                "must be finite, and std >= 0"
-            )
-        vocab.numeric_stats[parts[0]] = (mean, std)
-    for fname, tokens in vocab.tokens.items():
-        if len(set(tokens)) < len(tokens):
-            raise DataError(f"{path}: field {fname!r} lists a token twice")
+    """Read save_vocabulary's JSON, else DataError naming the file: no key
+    twice in an object, each field's tokens a list of distinct strings, and
+    each numerical field's stats [mean, std], finite, with std >= 0."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh, object_pairs_hook=_json_object, parse_int=float)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    except (ValueError, RecursionError):  # not JSON
+        doc = None
+    if not (type(doc) is dict and doc.get("format") == _VOCAB_FORMAT
+            and all(type(doc.get(k)) is dict for k in ("tokens", "numeric_stats"))):
+        raise DataError(f"{path}: not a version-{_VOCAB_FORMAT[1]} vocabulary file")
+    vocab = Vocabulary(doc["tokens"], doc["numeric_stats"])
+    for name, tokens in vocab.tokens.items():
+        if type(tokens) is not list or len({t for t in tokens if type(t) is str}) < len(tokens):
+            raise DataError(f"{path}: field {name!r}: tokens are not distinct strings in a list")
+    for name, stats in vocab.numeric_stats.items():
+        if not (type(stats) is list and list(map(type, stats)) == [float, float]
+                and math.isfinite(stats[0]) and 0.0 <= stats[1] < math.inf):
+            raise DataError(f"{path}: field {name!r}: {stats!r} is not a finite [mean, std >= 0]")
+        vocab.numeric_stats[name] = tuple(stats)
     return vocab
 
 
 def cardinalities(schema: list[FieldSchema], vocab: Vocabulary) -> list[int]:
     """Embedding-table sizes per field (numerical fields use one row)."""
     for f in schema:
-        if f.kind == NUMERICAL and f.name not in vocab.numeric_stats:
-            raise DataError(f"vocabulary is missing numeric stats for {f.name!r}")
+        if f.name not in (vocab.tokens if f.kind == CATEGORICAL else vocab.numeric_stats):
+            raise DataError(f"vocabulary is missing field {f.name!r}")
     return [len(vocab.token_table(f)) for f in schema]

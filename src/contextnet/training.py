@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from contextnet.data import EncodedDataset, batch_iter
+from contextnet.data import DataError, EncodedDataset, batch_iter
 from contextnet.metrics import auc, logloss
 from contextnet.model import ModelConfig, Params, loss_and_grads, predict_scores
 
@@ -129,9 +129,12 @@ def train(
     Validates after every epoch, keeps a copy of the parameters at the best
     validation AUC and stops once more than `patience` consecutive epochs
     fail to improve (patience 0 stops at the first non-improving epoch).
-    Fully deterministic for a fixed (seed, configs, data). A validation set
-    of one class is rejected before the first epoch: its AUC is undefined.
+    Fully deterministic for a fixed (seed, configs, data). An empty training
+    set, or a validation set of one class (its AUC is undefined), is
+    rejected before the first epoch.
     """
+    if len(train_set) == 0:
+        raise DataError("the training split holds no rows")
     val_set.require_both_classes("the validation split")
     state = init_adam(params, tconf.lr)
     history = TrainHistory()

@@ -366,27 +366,6 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert "record 150, field 'x': 'inf'" in err and err.count("\n") == 1
 
-    def test_vocabulary_index_out_of_range_exits_3(self, synth_dir, run_dir, tmp_path, capsys):
-        lines = open(os.path.join(run_dir, "vocab.txt")).read().splitlines()
-        i = lines.index("#tokens") + 1
-        field, token, index = lines[i].split("\t")
-        assert index == "1"
-        lines[i] = f"{field}\t{token}\t99"
-        vocab = tmp_path / "vocab.txt"
-        vocab.write_text("\n".join(lines) + "\n")
-        code = main(
-            [
-                "evaluate",
-                "--checkpoint", os.path.join(run_dir, "checkpoint.bin"),
-                "--vocab", str(vocab),
-                "--schema", os.path.join(synth_dir, "schema.tsv"),
-                "--data", os.path.join(synth_dir, "data.tsv"),
-            ]
-        )
-        assert code == 3
-        err = capsys.readouterr().err
-        assert err == f"error: {vocab}:{i + 1}: field {field!r}: expected index 1, got '99'\n"
-
     @pytest.mark.parametrize(
         "mean, std", [("nan", "1.0"), ("0.5", "inf"), ("0.5", "-1.0")]
     )
@@ -394,12 +373,10 @@ class TestEvaluateCommand:
         self, numeric_dir, tmp_path, capsys, mean, std
     ):
         run = numeric_dir / "run"
-        lines = (run / "vocab.txt").read_text().splitlines()
-        i = lines.index("#numeric-stats") + 1
-        assert lines[i].startswith("x\t")
-        lines[i] = f"x\t{mean}\t{std}"
+        doc = json.loads((run / "vocab.txt").read_text())
+        doc["numeric_stats"]["x"] = [float(mean), float(std)]  # json writes NaN, Infinity
         vocab = tmp_path / "vocab.txt"
-        vocab.write_text("\n".join(lines) + "\n")
+        vocab.write_text(json.dumps(doc))
         code = main(
             [
                 "evaluate",
@@ -411,7 +388,7 @@ class TestEvaluateCommand:
         )
         assert code == 3
         err = capsys.readouterr().err
-        assert "field 'x': mean" in err and err.count("\n") == 1
+        assert err.startswith(f"error: {vocab}: field 'x': [") and err.count("\n") == 1
 
     def test_non_finite_checkpoint_tensor_exits_3_under_optimize(
         self, synth_dir, run_dir, tmp_path
@@ -594,7 +571,8 @@ class TestExplainCommand:
 
 class TestFieldsWithoutTokens:
     """A --min-count above every token count leaves each field only its OOV
-    row: vocab.txt then lists no token line, and the run still evaluates."""
+    row: vocab.txt then lists each field with no token, and the run still
+    evaluates."""
 
     @pytest.fixture(scope="class")
     def sparse_run(self, tmp_path_factory, synth_dir):
@@ -681,16 +659,17 @@ ERROR_CASES = {
     "non-utf8-vocab": (
         ["evaluate", *MODEL, "--vocab", "{bad_vocab}"], 3, "{bad_vocab}: " + NOT_UTF8
     ),
-    # each field's token lines run 1..n in index order, each token once
+    # vocabularies that are not what save_vocabulary writes
     **{
         f"vocab-{name}": (
-            ["evaluate", *MODEL, "--vocab", f"{{vocab_{name}}}"], 3, f"{{vocab_{name}}}{error}"
+            ["evaluate", *MODEL, "--vocab", f"{{vocab_{name}}}"], 3, f"{{vocab_{name}}}: {error}"
         )
         for name, error in [
-            ("swapped", ":3: field 'c0': expected index 1, got '2'"),
-            ("zero", ":3: field 'c0': expected index 1, got '0'"),
-            ("padded", ":3: field 'c0': expected index 1, got '01'"),
-            ("twice", ": field 'c0' lists a token twice"),
+            ("v1-text", "not a version-2 vocabulary file"),
+            ("field-twice", "key 'c0' given twice"),
+            ("twice", "field 'c0': tokens are not distinct strings in a list"),
+            ("not-str", "field 'c0': tokens are not distinct strings in a list"),
+            ("str", "field 'c0': tokens are not distinct strings in a list"),
         ]
     },
     # a numeric failure: Adam's second moment overflows at the first step
@@ -846,14 +825,31 @@ ERROR_CASES = {
         3,
         "{ckpt_fields}: corrupt header: n_fields must be >= 1",
     ),
-    "vocab-without-numeric-stats": (
-        ["evaluate", *NUM_MODEL], 3, "vocabulary is missing numeric stats for 'x'"
+    # a header that lists no cardinality at all
+    "checkpoint-no-cardinalities": (
+        ["evaluate", *MODEL, "--checkpoint", "{ckpt_cards}"],
+        3,
+        "{ckpt_cards}: corrupt header: bad sizes: config [3, 4, 5, 2], cardinalities []",
     ),
-    # a second stats line for a field would otherwise replace the first
+    # a std of inf would give a vocabulary that no vocabulary file may hold
+    "train-stats-overflow": (
+        TRAIN + ["--data", "{overflow_data}", "--schema", "{num_schema}"],
+        3,
+        "field 'x': mean or std of its values overflows float64",
+    ),
+    "vocab-without-numeric-stats": (
+        ["evaluate", *NUM_MODEL], 3, "vocabulary is missing field 'x'"
+    ),
+    "vocab-without-tokens": (
+        ["evaluate", *NUM_MODEL, "--vocab", "{num_vocab_no_tokens}"],
+        3,
+        "vocabulary is missing field 'c'",
+    ),
+    # json would otherwise keep the second stats of a field
     "vocab-numeric-stats-twice": (
         ["evaluate", *NUM_MODEL, "--vocab", "{num_vocab_twice}"],
         3,
-        "{num_vocab_twice}:{num_twice_line}: field 'x': numeric stats given twice",
+        "{num_vocab_twice}: key 'x' given twice",
     ),
     "schema-unknown-kind": (
         TRAIN + ["--schema", "{kind_schema}"],
@@ -876,20 +872,27 @@ def error_paths(tmp_path_factory, synth_dir, run_dir, numeric_dir):
     os.symlink(d / "absent", d / "link")
     (d / "data.tsv").write_bytes(b"1\tv1\tv2\tv3\n0\t\xff\xfe\tv2\tv3\n")
     (d / "schema.tsv").write_bytes(b"c0\tcat\n\xff\xfe\tcat\n")
-    vocab = open(os.path.join(run_dir, "vocab.txt"), "rb").read()
-    (d / "vocab.txt").write_bytes(vocab + b"c0\t\xff\xfe\t99\n")
-    # the run's vocabulary with its first two token lines (c0's indices 1, 2) edited
-    lines = vocab.decode("utf-8").splitlines()
-    one, two = lines[2:4]
-    field, token, _ = one.split("\t")
+    vocab = open(os.path.join(run_dir, "vocab.txt"), encoding="utf-8").read()
+    (d / "vocab.txt").write_bytes(vocab.encode("utf-8") + b"\xff\xfe")
+    # the run's vocabulary with field c0's token list edited, and in version 1's text
+    tokens = json.loads(vocab)["tokens"]
+    c0 = f'"c0": {json.dumps(tokens["c0"])}'
+    assert c0 in vocab
     edits = {
-        "swapped": [two, one],
-        "zero": [f"{field}\t{token}\t0", two],
-        "padded": [f"{field}\t{token}\t01", two],
-        "twice": [one, f"{field}\t{token}\t2"],
+        "v1-text": "#contextnet-vocab\t1\n#tokens\n" + "".join(
+            f"{name}\t{token}\t{i}\n"
+            for name, listed in tokens.items() for i, token in enumerate(listed, start=1)
+        ) + "#numeric-stats\n",
+        "field-twice": vocab.replace(c0, f"{c0}, {c0}"),
+        "twice": vocab.replace(c0, f'"c0": {json.dumps(tokens["c0"] * 2)}'),
+        "not-str": vocab.replace(c0, f'"c0": {json.dumps([*tokens["c0"], 7])}'),
+        "str": vocab.replace(c0, f'"c0": {json.dumps("".join(tokens["c0"]))}'),
     }
-    for name, pair in edits.items():
-        (d / f"vocab_{name}.txt").write_text("\n".join(lines[:2] + pair + lines[4:]) + "\n")
+    for name, text in edits.items():
+        (d / f"vocab_{name}.txt").write_text(text)
+    (d / "overflow.tsv").write_text(
+        "".join(f"{i % 2}\tt{i % 5}\t{'-' if i % 3 else ''}1e200\n" for i in range(200))
+    )
     (d / "kind.tsv").write_text("a\tcat\nb\tcats\n")
     (d / "repeat.tsv").write_text("a\tcat\nb\tnum\na\tcat\n")
     blob = open(os.path.join(run_dir, "checkpoint.bin"), "rb").read()
@@ -897,10 +900,16 @@ def error_paths(tmp_path_factory, synth_dir, run_dir, numeric_dir):
     (d / "trailing.bin").write_bytes(blob + b"\0")
     edited_header(run_dir, d / "blocks.bin", lambda h: h["config"].update(n_blocks=-1))
     edited_header(run_dir, d / "fields.bin", lambda h: h["config"].update(n_fields=0))
+    edited_header(run_dir, d / "cards.bin", lambda h: h.update(cardinalities=[]))
     num_run = numeric_dir / "run"
-    num_vocab = (num_run / "vocab.txt").read_text().splitlines(keepends=True)
-    (d / "num_vocab.txt").write_text("".join(x for x in num_vocab if not x.startswith("x\t")))
-    (d / "num_vocab_twice.txt").write_text("".join(num_vocab) + "x\t5.0\t2.0\n")
+    num_vocab = (num_run / "vocab.txt").read_text()
+    doc = json.loads(num_vocab)
+    x = f'"x": {json.dumps(doc["numeric_stats"]["x"])}'
+    c = f'"c": {json.dumps(doc["tokens"]["c"])}'
+    assert x in num_vocab and c in num_vocab
+    (d / "num_vocab.txt").write_text(num_vocab.replace(x, ""))
+    (d / "num_vocab_no_tokens.txt").write_text(num_vocab.replace(c, ""))
+    (d / "num_vocab_twice.txt").write_text(num_vocab.replace(x, f'{x}, "x": [5.0, 2.0]'))
     return {
         "data": os.path.join(synth_dir, "data.tsv"),
         "schema": os.path.join(synth_dir, "schema.tsv"),
@@ -920,11 +929,13 @@ def error_paths(tmp_path_factory, synth_dir, run_dir, numeric_dir):
         "ckpt_trailing": str(d / "trailing.bin"),
         "ckpt_blocks": str(d / "blocks.bin"),
         "ckpt_fields": str(d / "fields.bin"),
+        "ckpt_cards": str(d / "cards.bin"),
         "num_checkpoint": str(num_run / "checkpoint.bin"),
         "num_vocab": str(d / "num_vocab.txt"),
         "num_vocab_twice": str(d / "num_vocab_twice.txt"),
-        "num_twice_line": len(num_vocab) + 1,
+        "num_vocab_no_tokens": str(d / "num_vocab_no_tokens.txt"),
         "num_schema": str(numeric_dir / "schema.tsv"),
+        "overflow_data": str(d / "overflow.tsv"),
         "num_data": str(numeric_dir / "data.tsv"),
         **{f"vocab_{name}": str(d / f"vocab_{name}.txt") for name in edits},
     }

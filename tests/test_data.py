@@ -197,6 +197,14 @@ class TestBuildVocabulary:
         with pytest.raises(DataError, match=rf"record 1.*size.*{raw}"):
             vocab_of(records, schema)
 
+    def test_stats_that_overflow_are_refused(self, schema):
+        """Values whose spread overflows float64 give an infinite std, which
+        no vocabulary file may hold."""
+        records = [rec("0", "a", "1e200", "x"), rec("1", "a", "-1e200", "x")]
+        with pytest.raises(DataError) as exc:
+            vocab_of(records, schema)
+        assert str(exc.value) == "field 'size': mean or std of its values overflows float64"
+
     def test_error_names_file_row_not_split_position(self, schema):
         records = [rec("0", "a", str(i), "x") for i in range(20)]
         records[13][2] = "oops"
@@ -314,18 +322,18 @@ class TestBatchIter:
         assert not np.array_equal(a, b)
 
 
-# any text a vocab.txt cell can hold: no tab, no line break, valid UTF-8
-_VOCAB_TEXT = st.text(
-    st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",)), max_size=6
-) | st.sampled_from(["<oov>", "#x", "#tokens", "\u00e9t\u00e9", "\u6570", "\U0001f600"])
+# any text a token or field name can be, "#" first included
+_VOCAB_TEXT = st.text(max_size=6) | st.sampled_from(
+    ["<oov>", "#x", "#tokens", "\u00e9t\u00e9", "\u6570", "\U0001f600", "a\tb", "\n"]
+)
 
 
 @st.composite
 def vocabularies(draw):
-    """A vocabulary as build_vocabulary can make one: each field lists at
-    least one token, and no token twice."""
+    """A vocabulary as build_vocabulary can make one: a field may list no
+    token, and none lists a token twice."""
     tokens = draw(st.dictionaries(
-        _VOCAB_TEXT, st.lists(_VOCAB_TEXT, min_size=1, max_size=8, unique=True), max_size=4
+        _VOCAB_TEXT, st.lists(_VOCAB_TEXT, max_size=8, unique=True), max_size=4
     ))
     stats = draw(st.dictionaries(_VOCAB_TEXT, st.tuples(
         st.floats(allow_nan=False, allow_infinity=False),
@@ -334,52 +342,72 @@ def vocabularies(draw):
     return Vocabulary(tokens=tokens, numeric_stats=stats)
 
 
+def vocab_json(tokens='{"color": ["red"]}', stats='{"size": [2.0, 1.0]}'):
+    """A vocabulary document with the given tokens and numeric_stats text."""
+    return f'{{"format": ["contextnet-vocab", 2], "tokens": {tokens}, "numeric_stats": {stats}}}'
+
+
+NOT_V2 = "not a version-2 vocabulary file"
+NOT_TOKENS = "field 'color': tokens are not distinct strings in a list"
+
+# name -> a vocabulary file's text, and the error that follows its path
+MALFORMED_VOCABULARIES = {
+    "v1-text": ("#contextnet-vocab\t1\n#tokens\ncolor\tred\t1\n", NOT_V2),
+    "v1-json": ('{"format": ["contextnet-vocab", 1], "tokens": {}, "numeric_stats": {}}', NOT_V2),
+    "no-stats": ('{"format": ["contextnet-vocab", 2], "tokens": {}}', NOT_V2),
+    "tokens-list": (vocab_json('["red"]'), NOT_V2),
+    "field-twice": (vocab_json('{"color": ["red"], "color": ["blue"]}'), "key 'color' given twice"),
+    "stats-twice": (
+        vocab_json(stats='{"size": [2.0, 1.0], "size": [5.0, 2.0]}'), "key 'size' given twice"
+    ),
+    "token-twice": (vocab_json('{"color": ["red", "red"]}'), NOT_TOKENS),
+    "token-not-str": (vocab_json('{"color": ["red", 1]}'), NOT_TOKENS),
+    "tokens-str": (vocab_json('{"color": "red"}'), NOT_TOKENS),
+    **{
+        f"stats-{name}": (
+            vocab_json(stats=f'{{"size": {text}}}'),
+            f"field 'size': {shown} is not a finite [mean, std >= 0]",
+        )
+        for name, text, shown in [
+            ("short", "[2.0]", "[2.0]"),
+            ("bool", "[2.0, true]", "[2.0, True]"),
+            ("mean-nan", "[NaN, 1.0]", "[nan, 1.0]"),
+            ("std-negative", "[2.0, -1.0]", "[2.0, -1.0]"),
+            ("std-overflow", "[2.0, 1e999]", "[2.0, inf]"),
+        ]
+    },
+}
+
+
 class TestFiles:
     def test_vocabulary_roundtrip(self, schema, tmp_path):
         records = [rec("1", "red", "1.5", "sq"), rec("0", "blue", "3.5", "tri")]
         vocab = vocab_of(records, schema)
         path = str(tmp_path / "vocab.txt")
         save_vocabulary(vocab, path)
-        loaded = load_vocabulary(path)
-        assert loaded.tokens == vocab.tokens
-        assert loaded.numeric_stats == vocab.numeric_stats
+        assert load_vocabulary(path) == vocab
 
     def test_vocabulary_roundtrip_with_hash_field_names(self, tmp_path):
-        """Only the exact section lines open a section: a field name may
-        start with '#'."""
+        """A field name is any string, one starting with '#' too."""
         schema = make_schema([("#user", "cat"), ("#age", "num")])
         vocab = vocab_of([["1", "u1", "30"], ["0", "u2", "41.5"]], schema)
         path = str(tmp_path / "vocab.txt")
         save_vocabulary(vocab, path)
         loaded = load_vocabulary(path)
-        assert loaded.tokens == vocab.tokens == {"#user": ["u1", "u2"]}
-        assert loaded.numeric_stats == vocab.numeric_stats
+        assert loaded == vocab
+        assert loaded.tokens == {"#user": ["u1", "u2"]}
         assert list(loaded.numeric_stats) == ["#age"]
 
-    def test_token_lines_out_of_index_order_refused(self, tmp_path):
-        """A field's token lines come in index order: the file order is the
-        token table."""
+    def test_token_table_is_the_token_list_in_order(self, schema, tmp_path):
         path = tmp_path / "vocab.txt"
-        path.write_text(
-            "#contextnet-vocab\t1\n#tokens\ncolor\tblue\t3\ncolor\tred\t1\n"
-            "color\tgreen\t2\nshape\tsq\t1\n#numeric-stats\nsize\t2.0\t1.0\n"
-        )
-        with pytest.raises(DataError) as exc:
-            load_vocabulary(str(path))
-        assert str(exc.value) == f"{path}:3: field 'color': expected index 1, got '3'"
-
-    def test_token_table_is_the_token_lines_in_file_order(self, schema, tmp_path):
-        path = tmp_path / "vocab.txt"
-        path.write_text(
-            "#contextnet-vocab\t1\n#tokens\ncolor\tblue\t1\nshape\tsq\t1\n"
-            "color\tred\t2\ncolor\tgreen\t3\n#numeric-stats\nsize\t2.0\t1.0\n"
-        )
+        path.write_text(vocab_json('{"color": ["blue", "red", "green"], "shape": ["sq"]}'))
         vocab = load_vocabulary(str(path))
         assert [vocab.token_table(f) for f in schema] == [
             ["<oov>", "blue", "red", "green"],
             ["<numeric>"],
             ["<oov>", "sq"],
         ]
+        assert vocab.numeric_stats == {"size": (2.0, 1.0)}
 
     @given(vocab=vocabularies())
     @settings(max_examples=100, deadline=None)
@@ -387,9 +415,7 @@ class TestFiles:
         with tempfile.TemporaryDirectory() as d:
             path = os.path.join(d, "vocab.txt")
             save_vocabulary(vocab, path)
-            loaded = load_vocabulary(path)
-        assert list(loaded.tokens.items()) == list(vocab.tokens.items())
-        assert list(loaded.numeric_stats.items()) == list(vocab.numeric_stats.items())
+            assert load_vocabulary(path) == vocab
 
     def test_vocabulary_bad_magic(self, tmp_path):
         path = tmp_path / "vocab.txt"
@@ -397,48 +423,20 @@ class TestFiles:
         with pytest.raises(DataError):
             load_vocabulary(str(path))
 
-    def test_vocabulary_token_line_with_two_columns(self, tmp_path):
+    @pytest.mark.parametrize("name", MALFORMED_VOCABULARIES)
+    def test_malformed_vocabulary_names_the_file(self, tmp_path, name):
+        text, error = MALFORMED_VOCABULARIES[name]
         path = tmp_path / "vocab.txt"
-        path.write_text("#contextnet-vocab\t1\n#tokens\ncolor\tred\n")
-        with pytest.raises(DataError, match="vocab.txt:3"):
-            load_vocabulary(str(path))
-
-    def test_vocabulary_non_integer_index(self, tmp_path):
-        path = tmp_path / "vocab.txt"
-        path.write_text("#contextnet-vocab\t1\n#tokens\ncolor\tred\tone\n")
-        with pytest.raises(DataError, match="vocab.txt:3"):
-            load_vocabulary(str(path))
-
-    @pytest.mark.parametrize(
-        "lines, error",
-        [
-            # index past the field's size
-            (["color\tred\t1", "color\tblue\t99"], ":4: field 'color': expected index 2, got '99'"),
-            # index given twice
-            (["color\tred\t1", "color\tblue\t1"], ":4: field 'color': expected index 2, got '1'"),
-            # the OOV index
-            (["color\tred\t0", "color\tblue\t1"], ":3: field 'color': expected index 1, got '0'"),
-            # an index skipped
-            (["color\tred\t1", "color\tblue\t3"], ":4: field 'color': expected index 2, got '3'"),
-            # an index not written as save_vocabulary writes it
-            *(
-                ([f"color\tred\t{raw}"], f":3: field 'color': expected index 1, got {raw!r}")
-                for raw in ("01", "+1", "1.0", "1 ", "\uff11")
-            ),
-            # token given twice
-            (["color\tred\t1", "color\tred\t2"], ": field 'color' lists a token twice"),
-        ],
-        ids=["past-size", "index-twice", "oov-index", "skipped", "01", "+1", "1.0", "1-space",
-             "full-width-1", "token-twice"],
-    )
-    def test_vocabulary_indices_must_run_one_to_n(self, tmp_path, lines, error):
-        """Each field's token lines run 1..n in index order, each token once;
-        the error names the file, and the line where one can be named."""
-        path = tmp_path / "vocab.txt"
-        path.write_text("#contextnet-vocab\t1\n#tokens\n" + "\n".join(lines) + "\n")
+        path.write_text(text)
         with pytest.raises(DataError) as exc:
             load_vocabulary(str(path))
-        assert str(exc.value) == f"{path}{error}"
+        assert str(exc.value) == f"{path}: {error}"
+
+    def test_integer_stats_read_as_floats(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text(vocab_json(stats='{"size": [2, 1]}'))
+        stats = load_vocabulary(str(path)).numeric_stats["size"]
+        assert stats == (2.0, 1.0) and list(map(type, stats)) == [float, float]
 
     def test_load_records_checks_columns(self, schema, tmp_path):
         path = tmp_path / "data.tsv"
@@ -457,20 +455,20 @@ class TestFiles:
         assert size.tolist() == [0.0]
 
     def test_cardinalities_requires_matching_vocab(self, schema):
-        """A categorical field that the vocabulary does not list kept no
-        token, so it has only the OOV row; a numerical field needs its stats."""
+        """The vocabulary lists every field of the schema, of either kind."""
         records = [rec("1", "red", "1", "sq")]
-        vocab = vocab_of(records, schema)
-        assert cardinalities(schema, vocab) == [2, 1, 2]
-        del vocab.tokens["color"]
-        assert cardinalities(schema, vocab) == [1, 1, 2]
-        del vocab.numeric_stats["size"]
-        with pytest.raises(DataError, match="numeric stats for 'size'"):
-            cardinalities(schema, vocab)
+        assert cardinalities(schema, vocab_of(records, schema)) == [2, 1, 2]
+        for dropped in ("color", "size"):
+            vocab = vocab_of(records, schema)
+            vocab.tokens.pop(dropped, None)
+            vocab.numeric_stats.pop(dropped, None)
+            with pytest.raises(DataError) as exc:
+                cardinalities(schema, vocab)
+            assert str(exc.value) == f"vocabulary is missing field {dropped!r}"
 
     def test_field_that_kept_no_token_roundtrips(self, schema, tmp_path):
-        """save_vocabulary writes no line for a field whose every token is
-        below min_count; loaded back, it has the same cardinality and
+        """A field whose every token is below min_count lists no token;
+        loaded back, it keeps its empty list, has the same cardinality and
         encodes every row to the OOV index as before."""
         records = [rec("1", "red", "1", "sq"), rec("0", "blue", "2", "sq")]
         vocab = vocab_of(records, schema, min_count=2)
@@ -478,7 +476,7 @@ class TestFiles:
         path = str(tmp_path / "vocab.txt")
         save_vocabulary(vocab, path)
         loaded = load_vocabulary(path)
-        assert "color" not in loaded.tokens
+        assert loaded == vocab
         assert cardinalities(schema, loaded) == cardinalities(schema, vocab) == [1, 1, 2]
         assert loaded.token_table(schema[0]) == ["<oov>"]
         want = encode_dataset(table(records, schema), schema, vocab)

@@ -5,8 +5,12 @@ offset, or have any one byte replaced. Loading the result may succeed, or
 raise DataError, CheckpointError or OSError, and nothing else. Checkpoint
 tensors carry no checksum, so a changed tensor byte that leaves the value
 finite loads silently: these tests pin that no other exception escapes,
-not that every corruption is caught.
+not that every corruption is caught. The vocabulary is also given any JSON
+value in place of its document, its tokens, one field's token list or one
+field's stats: it loads as a valid vocabulary or raises DataError.
 """
+import json
+import math
 from unittest import mock
 
 import pytest
@@ -100,3 +104,38 @@ def test_cut_or_changed_file_raises_only_input_errors(inputs, name, data):
         load(str(path), schema, vocab)
     except (DataError, CheckpointError, OSError):
         pass
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=10,
+)
+
+# place -> the good vocabulary document with a JSON value put in that place
+PLACES = {
+    "document": lambda doc, value: value,
+    "tokens": lambda doc, value: {**doc, "tokens": value},
+    "field-tokens": lambda doc, value: {**doc, "tokens": {**doc["tokens"], "user": value}},
+    "field-stats": lambda doc, value: {**doc, "numeric_stats": {"age": value}},
+}
+
+
+@pytest.mark.parametrize("place", PLACES)
+@given(value=JSON_VALUES)
+@settings(max_examples=200, deadline=None)
+def test_any_json_value_loads_as_a_valid_vocabulary_or_raises(inputs, place, value):
+    blobs, schema, vocab, d = inputs
+    path = d / f"json-{place}.txt"
+    path.write_text(json.dumps(PLACES[place](json.loads(blobs["vocab.txt"]), value)))
+    try:
+        loaded = load_vocabulary(str(path))
+    except DataError:
+        return
+    for tokens in loaded.tokens.values():
+        assert type(tokens) is list and all(type(t) is str for t in tokens)
+        assert len(set(tokens)) == len(tokens)
+    for stats in loaded.numeric_stats.values():
+        assert type(stats) is tuple and list(map(type, stats)) == [float, float]
+        assert math.isfinite(stats[0]) and 0.0 <= stats[1] < math.inf

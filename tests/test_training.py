@@ -205,6 +205,13 @@ class TestTrainLoop:
         with pytest.raises(DataError, match="one class"):
             train(CFG, params, ds, negatives, tconf)
 
+    def test_empty_training_set_rejected_before_first_epoch(self):
+        ds = _linearly_separable(100, seed=15)
+        params = init_params(CFG, CARDS, seed=15)
+        with pytest.raises(DataError) as exc:
+            train(CFG, params, ds.take(slice(0, 0)), ds, TrainConfig(max_epochs=1, seed=15))
+        assert str(exc.value) == "the training split holds no rows"
+
     def test_history_tsv_format(self):
         ds = _linearly_separable(200, seed=13)
         params = init_params(CFG, CARDS, seed=13)
