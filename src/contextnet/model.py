@@ -30,7 +30,7 @@ from contextnet.ops import (
     layer_norm_backward,
     logit,
     mix_seed,
-    scatter_add,
+    row_sums,
     sigmoid,
 )
 
@@ -343,20 +343,26 @@ def l2_norm(params: Params) -> float:
     return float(sum(np.sum(a * a) for n, a in params.items() if _regularized(n)))
 
 
+def grad_rows(g) -> tuple:
+    """(rows, values) of a gradient: (rows, sums) as it is, an array at all rows."""
+    return g if isinstance(g, tuple) else (slice(None), g)
+
+
 def loss_and_grads(
     batch: EncodedDataset, params: Params, config: ModelConfig
-) -> tuple[float, Params]:
+) -> tuple[float, dict]:
     """Mean cross-entropy plus l2 penalty and its exact gradients.
 
     The reverse pass mirrors the forward tape: head -> blocks -> contextual
     embeddings -> embedding tables. Gradients of tensors shared across
-    blocks accumulate additively. With l2 > 0 each regularized weight w
-    additionally receives 2 * l2 * w.
+    blocks accumulate additively. At l2 = 0 an embedding table's gradient
+    is the (rows, sums) of ops.row_sums, no zeroed table; with l2 > 0 each
+    regularized weight w additionally receives 2 * l2 * w, as an array.
     """
     scores, tape = predict(batch, params, config)
     loss = logloss(scores, batch.labels)
     objective = loss
-    grads = {name: np.zeros_like(a) for name, a in params.items()}
+    grads = {n: np.zeros_like(a) for n, a in params.items() if not n.startswith("embed.")}
     B = len(batch)
     f, k = config.n_fields, config.embed_dim
 
@@ -414,11 +420,13 @@ def loss_and_grads(
     for j, i in enumerate(batch.numerical):
         d_cur[:, i, :] *= batch.values[:, j]
     for i in range(f):
-        scatter_add(grads[f"embed.{i}"], batch.indices[:, i], d_cur[:, i, :])
+        grads[f"embed.{i}"] = row_sums(batch.indices[:, i], d_cur[:, i, :])
 
     if config.l2 > 0.0:
         objective = loss + config.l2 * l2_norm(params)
         for name, w in params.items():
             if _regularized(name):
-                grads[name] += 2.0 * config.l2 * w
+                rows, g = grad_rows(grads[name])
+                grads[name] = 2.0 * config.l2 * w
+                grads[name][rows] += g
     return objective, grads

@@ -58,15 +58,16 @@ def layer_norm_backward(
     return dx.reshape(dy.shape), dgain, dbias
 
 
-def scatter_add(out: np.ndarray, idx: np.ndarray, cols: np.ndarray) -> None:
-    """out[idx[n]] += cols[:, n] for every n, as np.add.at(out, idx, cols.T):
-    one np.bincount per column of out adds each index's terms in order of n
-    from 0.0, so on a zeroed out the bytes are those of np.add.at."""
-    uniq, inv = np.unique(idx, return_inverse=True)
-    sums = np.empty((out.shape[1], uniq.size))
-    for c in range(out.shape[1]):
-        sums[c] = np.bincount(inv, weights=cols[c], minlength=uniq.size)
-    out[uniq] += sums.T
+def row_sums(idx: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, sums): rows the distinct values of idx, ascending; sums[r, c]
+    the sum of the [k, n] cols[c, n] over each n with idx[n] == rows[r]. One
+    np.bincount over the bins r * k + c adds each bin's terms in order of n
+    from 0.0, so out[rows] += sums on a zeroed out is np.add.at(out, idx, cols.T)."""
+    rows, inv = np.unique(idx, return_inverse=True)
+    k = cols.shape[0]
+    bins = inv * k + np.arange(k)[:, None]
+    sums = np.bincount(bins.ravel(), weights=cols.ravel(), minlength=rows.size * k)
+    return rows, sums.reshape(rows.size, k)
 
 
 def sigmoid(z):

@@ -8,7 +8,7 @@ import numpy as np
 
 from contextnet.data import DataError, EncodedDataset, batch_iter
 from contextnet.metrics import auc, logloss
-from contextnet.model import ModelConfig, Params, loss_and_grads, predict_scores
+from contextnet.model import ModelConfig, Params, grad_rows, loss_and_grads, predict_scores
 
 
 class TrainingDiverged(RuntimeError):
@@ -97,21 +97,23 @@ def init_adam(params: Params, lr: float) -> AdamState:
     )
 
 
-def adam_step(params: Params, grads: Params, state: AdamState) -> None:
+def adam_step(params: Params, grads: dict, state: AdamState) -> None:
     """One bias-corrected Adam update, applied tensor-wise in place; a value
-    that overflows or is invalid raises FloatingPointError naming its tensor."""
+    that overflows or is invalid raises FloatingPointError naming its tensor.
+    Moments decay at every row and add the gradient at its grad_rows only,
+    bit-equal to a zero gradient elsewhere; the parameter update is dense."""
     state.step += 1
     bc1 = 1.0 - BETA1 ** state.step
     bc2 = 1.0 - BETA2 ** state.step
     with np.errstate(over="raise", invalid="raise"):
         for name, p in params.items():
-            g = grads[name]
+            rows, g = grad_rows(grads[name])
             m, v = state.m[name], state.v[name]
             try:
                 m *= BETA1
-                m += (1.0 - BETA1) * g
+                m[rows] += (1.0 - BETA1) * g
                 v *= BETA2
-                v += (1.0 - BETA2) * (g * g)
+                v[rows] += (1.0 - BETA2) * (g * g)
                 p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
             except FloatingPointError as exc:
                 raise FloatingPointError(f"Adam update of {name}: {exc}") from None
@@ -138,8 +140,7 @@ def train(
     val_set.require_both_classes("the validation split")
     state = init_adam(params, tconf.lr)
     history = TrainHistory()
-    best = {name: a.copy() for name, a in params.items()}
-    best_auc, stale = -np.inf, 0
+    best_auc, stale = -np.inf, 0  # epoch 0's AUC is finite, so it sets best
     for epoch in range(tconf.max_epochs):
         t0 = time.perf_counter()
         loss_sum = 0.0

@@ -35,6 +35,7 @@ from contextnet.model import (
 )
 from contextnet.ops import Rng
 from contextnet.training import TrainConfig, train
+from dense_grads import densify
 from synth import SynthSpec, generate, integers, write_dataset
 
 GRAD_STEP = 1e-5
@@ -70,7 +71,7 @@ def _max_rel_grad_error(config, cards, seed):
         tensor[...] = rng.normal(tensor.shape, scale=0.4)
     idx = np.stack([integers(rng, 0, c, (6,)) for c in cards], axis=1)
     batch = EncodedDataset((rng.random((6,)) < 0.5).astype(float), idx, np.empty((6, 0)), ())
-    _, grads = loss_and_grads(batch, params, config)
+    grads = densify(loss_and_grads(batch, params, config)[1], params, batch)
     worst = 0.0
     for name, tensor in params.items():
         flat = tensor.reshape(-1)

@@ -9,6 +9,7 @@ import pytest
 from contextnet.data import EncodedDataset
 from contextnet.model import ModelConfig, init_params, loss_and_grads
 from contextnet.ops import Rng
+from dense_grads import densify
 from synth import integers
 
 FD_STEP = 1e-5
@@ -35,7 +36,7 @@ def randomized_model(config, cards, seed):
 
 def max_rel_error(config, cards, seed=0):
     params, batch = randomized_model(config, cards, seed)
-    _, grads = loss_and_grads(batch, params, config)
+    grads = densify(loss_and_grads(batch, params, config)[1], params, batch)
     worst = 0.0
     for name, tensor in params.items():
         flat = tensor.reshape(-1)
@@ -108,6 +109,10 @@ def test_l2_adds_two_lambda_theta():
     params, batch = randomized_model(base, CARDS, seed=4)
     _, g0 = loss_and_grads(batch, params, base)
     _, g1 = loss_and_grads(batch, params, with_l2)
+    for i in range(3):  # (rows, sums) at l2 = 0; dense, as 2 * l2 * w needs, above
+        assert isinstance(g0[f"embed.{i}"], tuple)
+        assert g1[f"embed.{i}"].shape == params[f"embed.{i}"].shape
+    g0, g1 = densify(g0, params, batch), densify(g1, params, batch)
     regularized = {"embed", "agg_w", "proj_w", "ffn_w1", "ffn_w2", "head_w"}
     for name, w in params.items():
         diff = g1[name] - g0[name]

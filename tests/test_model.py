@@ -475,6 +475,22 @@ class TestTrainingMemory:
             tracemalloc.stop()
         assert peak <= limit * activation, peak / activation
 
+    def test_no_table_sized_gradient(self):
+        """A step touches at most B rows of a table, and its gradient holds
+        those rows alone: no array the size of the table is allocated."""
+        cards = [200_000, 7]
+        config = ModelConfig(n_fields=2)
+        p = init_params(config, cards, seed=30)
+        batch = random_batch(Rng(31), 64, cards)
+        table = p["embed.0"].nbytes
+        tracemalloc.start()
+        try:
+            loss_and_grads(batch, p, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table / 4, peak / table
+
 
 class TestHadamardIdentity:
     def test_forced_ones_context_with_no_ffn_matches_l0(self):

@@ -14,7 +14,7 @@ from contextnet.ops import (
     layer_norm_backward,
     logit,
     mix_seed,
-    scatter_add,
+    row_sums,
     sigmoid,
 )
 
@@ -91,8 +91,21 @@ class TestLayerNorm:
         assert abs(y.mean()) < 1e-10
 
 
-class TestScatterAdd:
-    """scatter_add gives the bytes of np.add.at on a zeroed table."""
+class TestRowSums:
+    """row_sums gives the sorted distinct indices, and its sums added at
+    them to a zeroed table give the bytes of np.add.at."""
+
+    @staticmethod
+    def assert_matches_add_at(rows_in_table, idx, cols):
+        rows, sums = row_sums(idx, cols)
+        assert rows.tolist() == sorted(set(idx.tolist()))
+        assert sums.shape == (rows.size, cols.shape[0])
+        got = np.zeros((rows_in_table, cols.shape[0]))
+        got[rows] += sums
+        want = np.zeros((rows_in_table, cols.shape[0]))
+        np.add.at(want, idx, cols.T)
+        assert got.tobytes() == want.tobytes()
+        return got
 
     @pytest.mark.parametrize(
         "rows, n, zipf",
@@ -105,18 +118,11 @@ class TestScatterAdd:
         else:
             idx = rng.integers(0, rows, n)
         cols = rng.normal(size=(6, n)) * rng.lognormal(size=n)
-        got = np.zeros((rows, 6))
-        scatter_add(got, idx, cols)
-        want = np.zeros((rows, 6))
-        np.add.at(want, idx, cols.T)
-        assert got.tobytes() == want.tobytes()
+        self.assert_matches_add_at(rows, idx, cols)
 
     def test_repeats_sum_in_order(self):
-        out = np.zeros((3, 1))
-        scatter_add(out, np.array([2, 0, 2, 2]), np.array([[1e16, 5.0, 1.0, -1e16]]))
-        want = np.zeros((3, 1))
-        np.add.at(want, np.array([2, 0, 2, 2]), np.array([[1e16, 5.0, 1.0, -1e16]]).T)
-        assert out.tobytes() == want.tobytes()
+        idx = np.array([2, 0, 2, 2])
+        out = self.assert_matches_add_at(3, idx, np.array([[1e16, 5.0, 1.0, -1e16]]))
         assert out[:, 0].tolist() == [5.0, 0.0, 0.0]  # 1e16 + 1 rounds to 1e16
 
 

@@ -1,6 +1,12 @@
 """Optimizer and training-loop tests."""
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contextnet.data import (
     DataError,
@@ -25,6 +31,7 @@ from contextnet.training import (
     init_adam,
     train,
 )
+from dense_grads import densify
 from synth import integers
 
 CARDS = [6, 5]
@@ -39,6 +46,19 @@ def scalarish_params():
     """A one-parameter model stand-in: reuse head bias as the scalar."""
     config = ModelConfig(n_fields=1, embed_dim=1, n_blocks=0)
     return init_params(config, [1], seed=0)
+
+
+def overflowing_grads(name):
+    """Parameters and gradients whose square, in the second moment of tensor
+    `name`, overflows: a dense gradient, or for an embedding table a
+    (rows, sums) pair with one row of 1e200."""
+    params = init_params(CFG, CARDS, seed=0)
+    grads = zeros_like(params)
+    if name.startswith("embed."):
+        grads[name] = (np.array([2]), np.full((1, CFG.embed_dim), 1e200))
+    else:
+        grads[name][0] = 1e200
+    return params, grads
 
 
 class TestAdam:
@@ -88,12 +108,57 @@ class TestAdam:
         assert all(m.max() > 0 for m in state.m.values())
         assert all(v.max() > 0 for v in state.v.values())
 
-    def test_overflowing_moment_names_its_tensor(self):
-        params = scalarish_params()
-        grads = zeros_like(params)
-        grads["head_b"][0] = 1e200  # its square, in the second moment, overflows
-        with pytest.raises(FloatingPointError, match="^Adam update of head_b: overflow"):
+    @pytest.mark.parametrize("name", ["head_b", "embed.0"])
+    def test_overflowing_moment_names_its_tensor(self, name):
+        params, grads = overflowing_grads(name)
+        with pytest.raises(FloatingPointError, match=f"^Adam update of {name}: overflow"):
             adam_step(params, grads, init_adam(params, lr=1e-3))
+
+    def test_sparse_overflow_is_named_under_python_O(self):
+        """The check is np.errstate, not an assert, so `python -O` raises it too."""
+        code = (
+            "from test_training import adam_step, init_adam, overflowing_grads\n"
+            "params, grads = overflowing_grads('embed.0')\n"
+            "try:\n"
+            "    adam_step(params, grads, init_adam(params, lr=1e-3))\n"
+            "except FloatingPointError as exc:\n"
+            "    print(exc)\n"
+        )
+        tests = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.join(os.path.dirname(tests), "src")
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests])),
+            timeout=120,
+        )
+        assert out.stdout.startswith("Adam update of embed.0: overflow"), out.stderr
+
+    @given(seed=st.integers(0, 2**32), steps=st.integers(1, 4), batch=st.integers(1, 40))
+    @settings(max_examples=25, deadline=None)
+    def test_row_sums_update_is_the_dense_update(self, seed, steps, batch):
+        """adam_step with each table's (rows, sums) leaves params, m and v
+        byte-equal to adam_step with the same gradients densified."""
+        cards = [60, 4]
+        rng = Rng(seed)
+        sparse_params = init_params(CFG, cards, seed)
+        dense_params = {name: t.copy() for name, t in sparse_params.items()}
+        sparse = init_adam(sparse_params, lr=0.01)
+        dense = init_adam(dense_params, lr=0.01)
+        for _ in range(steps):
+            idx = np.stack([integers(rng, 0, c, (batch,)) for c in cards], axis=1)
+            rows = [np.unique(idx[:, i]) for i in range(len(cards))]
+            grads = {n: rng.normal(t.shape) for n, t in sparse_params.items()}
+            for i, r in enumerate(rows):
+                grads[f"embed.{i}"] = (r, rng.normal((r.size, CFG.embed_dim)))
+            batch_ds = EncodedDataset(np.zeros(batch), idx, np.empty((batch, 0)), ())
+            densified = densify(grads, dense_params, batch_ds)
+            adam_step(sparse_params, grads, sparse)
+            adam_step(dense_params, densified, dense)
+        for name in sparse_params:
+            for a, b in ((sparse_params, dense_params), (sparse.m, dense.m), (sparse.v, dense.v)):
+                assert a[name].tobytes() == b[name].tobytes(), name
 
 
 def _linearly_separable(n=400, seed=0):
