@@ -26,7 +26,7 @@ line, each recipe from its own seed:
   d  the benchmark's `wide` input of seed 1, trained with the `wide-sffn`
      flags of perfbench/run.py; the stdout of `evaluate --split all` and
      `explain --corpus norm --top 0` over its 16,000 rows is digested too
-     (four scoring chunks each)
+     (16 scoring chunks each, the last of 640 rows)
 
 Each line is `recipe<TAB>output<TAB>sha256`. history.tsv is digested
 without its last column, the wall-clock seconds of each epoch.

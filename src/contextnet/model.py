@@ -3,10 +3,11 @@
 Parameters are one ordered mapping from tensor name to array; param_shapes
 gives the names and their order. Only training keeps a tape: its forward
 pass keeps every intermediate needed by the hand-written backward pass in a
-TapeCache, while scoring (score_chunks, SCORE_CHUNK rows at a time) keeps
-just the last stage. Parameter sharing across blocks is realized by storing
-shared tensors once and resolving block -> storage slot, so gradients of
-shared tensors accumulate additively.
+TapeCache, while scoring (score_chunks) keeps just the last stage of one
+SCORE_CHUNK-row slice at a time, a training batch of rows whose
+activations stay near cache size. Parameter sharing across blocks is
+realized by storing shared tensors once and resolving block -> storage
+slot, so gradients of shared tensors accumulate additively.
 
 Activations are batch-last: a block maps [k, f, B] -> [k, f, B], so every
 broadcast and reduction runs over rows of B contiguous values and the FFN
@@ -43,7 +44,13 @@ SHARE_AGG_PROJ = "agg-proj"
 
 LN_EPS = 1e-5
 _INIT_SALT = 0x1217
-SCORE_CHUNK = 4096  # rows per tape-free scoring pass
+# Rows per tape-free scoring pass: the default training batch, so a [k, f,
+# rows] activation stays near cache size. A row's score bits depend on the
+# length of its chunk, not on where the chunk starts. A length that is a
+# multiple of 8 gives the bits of a 4096-row chunk, except at <= 128 rows
+# at the 39-field wide shape (likely OpenBLAS's small-matrix dgemm); a
+# chunk of any other length can differ in its last bits.
+SCORE_CHUNK = 1024
 
 # tensor name -> array, in param_shapes order
 Params = dict[str, np.ndarray]

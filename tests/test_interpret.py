@@ -22,6 +22,7 @@ from contextnet.data import (
 )
 from contextnet.interpret import corpus_feature_importance, explain_instance
 from contextnet.model import (
+    SCORE_CHUNK,
     ModelConfig,
     NonFiniteScore,
     field_weights,
@@ -159,11 +160,12 @@ class TestCorpusImportance:
 
     def test_non_finite_logit_names_first_bad_row(self):
         params = trained_like_params(15)
-        n = 3 * 4096
+        n = 3 * SCORE_CHUNK
         indices = np.stack([integers(Rng(16), 0, c, (n,)) for c in CARDS], axis=1)
         ds = EncodedDataset(np.ones(n), indices, np.ones((n, 1)), (2,))
-        ds.values[[5000, 9000], 0] = np.nan
-        with pytest.raises(NonFiniteScore, match="scored row 5000:"):
+        bad = [SCORE_CHUNK + SCORE_CHUNK // 5, 2 * SCORE_CHUNK + SCORE_CHUNK // 5]
+        ds.values[bad, 0] = np.nan
+        with pytest.raises(NonFiniteScore, match=f"scored row {bad[0]}:"):
             corpus_feature_importance(params, CFG, ds, SCHEMA, TABLES, "norm", 10.0)
 
 

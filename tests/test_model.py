@@ -36,6 +36,16 @@ def random_batch(rng, size, cards, numerical=()):
     return EncodedDataset(labels, idx, np.ones((size, len(numerical))), numerical)
 
 
+def traced_peak(fn, *args):
+    """Peak traced bytes allocated while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def dense_values(batch, n_fields):
     """Every field's value, [n, f]: 1.0 for a categorical field."""
     values = np.ones((len(batch), n_fields))
@@ -386,21 +396,27 @@ class TestScoringWithoutTape:
         p = randomized(init_params(config, cards, seed=17), 18)
         data = random_batch(Rng(19), 2 * SCORE_CHUNK, cards)
         activation = SCORE_CHUNK * config.flat_dim * 8
-        tracemalloc.start()
-        try:
-            predict_scores(data, p, config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(predict_scores, data, p, config)
         assert peak <= 12 * activation, peak / activation
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NumPy's, for the nan rows
     def test_non_finite_logit_names_first_bad_row(self):
         p = randomized(init_params(CFG, CARDS, seed=20), 21)
-        data = random_batch(Rng(22), 2 * 8192 + 5, CARDS, numerical=(1,))
-        data.values[[9000, 12000], 0] = [np.nan, np.inf]
-        with pytest.raises(NonFiniteScore, match="scored row 9000:"):
+        data = random_batch(Rng(22), 4 * SCORE_CHUNK + 5, CARDS, numerical=(1,))
+        bad = [2 * SCORE_CHUNK + SCORE_CHUNK // 5, 2 * SCORE_CHUNK + SCORE_CHUNK * 9 // 10]
+        data.values[bad, 0] = [np.nan, np.inf]
+        with pytest.raises(NonFiniteScore, match=f"scored row {bad[0]}:"):
             predict_scores(data, p, CFG)
+
+    def test_peak_memory_at_wide_shape(self):
+        """Scoring 3 * 4096 rows of 39 fields (13 numerical) stays within
+        24 MB of traced memory; 4096-row chunks peaked at 66 MB."""
+        cards = [1] * 13 + [3, 10, 100, 1000, 10**4, 10**5] * 4 + [50, 500]
+        config = ModelConfig(n_fields=len(cards))
+        p = randomized(init_params(config, cards, seed=23), 24)
+        data = random_batch(Rng(25), 3 * 4096, cards, numerical=tuple(range(13)))
+        peak = traced_peak(predict_scores, data, p, config)
+        assert peak <= 24e6, peak / 1e6
 
 
 def einsum_forward(batch, p, config):
@@ -467,12 +483,7 @@ class TestTrainingMemory:
         p = randomized(init_params(config, cards, seed=27), 28)
         batch = random_batch(Rng(29), 1024, cards)
         activation = 1024 * config.flat_dim * 8
-        tracemalloc.start()
-        try:
-            loss_and_grads(batch, p, config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(loss_and_grads, batch, p, config)
         assert peak <= limit * activation, peak / activation
 
     def test_no_table_sized_gradient(self):
@@ -483,12 +494,7 @@ class TestTrainingMemory:
         p = init_params(config, cards, seed=30)
         batch = random_batch(Rng(31), 64, cards)
         table = p["embed.0"].nbytes
-        tracemalloc.start()
-        try:
-            loss_and_grads(batch, p, config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(loss_and_grads, batch, p, config)
         assert peak < table / 4, peak / table
 
 
