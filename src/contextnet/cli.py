@@ -299,7 +299,7 @@ _HANDLERS = {
 }
 
 
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc malloc.h
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8  # glibc malloc.h
 
 
 def _reuse_freed_memory() -> None:
@@ -311,7 +311,9 @@ def _reuse_freed_memory() -> None:
     kernel and is faulted in again by the next step: at the ML-1m shape
     about 20x the page faults and up to a quarter of the training rate.
     Arrays up to 32 MB now come from the heap, and up to 256 MB of it stays
-    mapped when freed.
+    mapped when freed. Scoring's pool threads allocate from that same heap
+    (one arena), not from fresh per-thread arenas that would each keep
+    their own freed memory mapped.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -320,6 +322,7 @@ def _reuse_freed_memory() -> None:
     mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
     mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+    mallopt(_M_ARENA_MAX, 1)
 
 
 def main(argv=None) -> int:

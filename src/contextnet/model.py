@@ -3,9 +3,11 @@
 Parameters are one ordered mapping from tensor name to array; param_shapes
 gives the names and their order. Only training keeps a tape: its forward
 pass keeps every intermediate needed by the hand-written backward pass in a
-TapeCache, while scoring (score_chunks) keeps just the last stage of one
-SCORE_CHUNK-row slice at a time, a training batch of rows whose
-activations stay near cache size. Parameter sharing across blocks is
+TapeCache, while scoring (score_chunks) keeps just the last stage of each
+SCORE_CHUNK-row slice, a training batch of rows whose activations stay
+near cache size. It scores SCORE_WORKERS slices at once on pool threads,
+each pass writing in place so that it holds about 2.3 [k, f, rows]
+activations at its peak. Parameter sharing across blocks is
 realized by storing shared tensors once and resolving block -> storage
 slot, so gradients of shared tensors accumulate additively.
 
@@ -19,6 +21,10 @@ agg_w, proj_w, proj_b and head_w through a (k, f) reordering of that axis.
 """
 from __future__ import annotations
 
+import contextvars
+import os
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,12 +51,19 @@ SHARE_AGG_PROJ = "agg-proj"
 LN_EPS = 1e-5
 _INIT_SALT = 0x1217
 # Rows per tape-free scoring pass: the default training batch, so a [k, f,
-# rows] activation stays near cache size. A row's score bits depend on the
-# length of its chunk, not on where the chunk starts. A length that is a
-# multiple of 8 gives the bits of a 4096-row chunk, except at <= 128 rows
-# at the 39-field wide shape (likely OpenBLAS's small-matrix dgemm); a
-# chunk of any other length can differ in its last bits.
+# rows] activation stays near cache size even with SCORE_WORKERS passes in
+# flight. A row's score bits depend on the length of its chunk, not on
+# where the chunk starts. A length that is a multiple of 8 gives the bits
+# of a 4096-row chunk, except at <= 128 rows at the 39-field wide shape
+# (likely OpenBLAS's small-matrix dgemm); a chunk of any other length can
+# differ in its last bits.
 SCORE_CHUNK = 1024
+# Chunks scored at once, one per pool thread and usable CPU: NumPy's ufuncs
+# and OpenBLAS (on one thread) release the GIL, so each pool thread keeps a
+# core busy. A row's bits do not depend on which thread scores its chunk.
+SCORE_WORKERS = min(
+    2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
 
 # tensor name -> array, in param_shapes order
 Params = dict[str, np.ndarray]
@@ -248,26 +261,30 @@ def predict(
     product), then applies the variant's feed-forward map and layer norm.
     Every block's context is aggregated from the embedding layer, never
     from a refined block output. With keep_tape off, intermediates are
-    released once the next exists and the merge overwrites the context;
-    the arithmetic, and so every output bit, stays the same.
+    released once the next exists, the merge overwrites the context, the
+    feed-forward map writes into the merge's input and layer norm
+    normalizes in place; the arithmetic, and so every output bit, stays
+    the same.
     """
     B = len(batch)
     f, k = config.n_fields, config.embed_dim
-    e0 = embed(batch, params, config)
-    e0_flat = e0.reshape(k * f, B)
+    e_cur = embed(batch, params, config)
     kf = _kf_order(config)
-    tape = TapeCache([e0])
-    e_cur = e0
+    # slot -> relu(agg_w . e0 + agg_b), [t, B]: made before any block, as
+    # a pass without a tape writes over e0 once block 0 has merged it
+    agg = {}
+    for slot in {config.agg_slot(b) for b in range(config.n_blocks)} if config.has_tce else ():
+        act = params[f"agg_w.{slot}"][:, kf] @ e_cur.reshape(k * f, B)
+        act += params[f"agg_b.{slot}"][:, None]
+        agg[slot] = np.maximum(act, 0.0, out=act)
+    tape = TapeCache([e_cur] if keep_tape else [])
     for block in range(config.n_blocks):
-        # views (flat, out) pin their base arrays, so they are reset too
-        agg_act = ce = hidden = ln_cache = flat = out = None
+        # views (flat, dest, out) pin their base arrays, so they are reset too
+        ce = hidden = ln_cache = flat = dest = out = None
+        agg_act = agg.get(config.agg_slot(block))
         merged = e_cur
         if config.has_tce:
-            sa = config.agg_slot(block)
             sp = config.proj_slot(block)
-            agg_act = params[f"agg_w.{sa}"][:, kf] @ e0_flat
-            agg_act += params[f"agg_b.{sa}"][:, None]
-            np.maximum(agg_act, 0.0, out=agg_act)
             ce = params[f"proj_w.{sp}"].reshape(k * f, -1)[kf] @ agg_act
             ce += params[f"proj_b.{sp}"].reshape(-1, 1)[kf]
             ce = ce.reshape(k, f, B)
@@ -275,17 +292,19 @@ def predict(
         e_next = merged
         if config.has_ffn:
             flat = merged.reshape(k, f * B)
+            # without a tape nothing reads the merge's input again: write there
+            dest = None if keep_tape or merged is e_cur else e_cur.reshape(k, f * B)
             w1 = params[f"ffn_w1.{block}"]
             if config.variant == PFFN:
                 hidden = w1.T @ flat
                 hidden += params[f"ffn_b1.{block}"][:, None]
                 np.maximum(hidden, 0.0, out=hidden)
-                out = params[f"ffn_w2.{block}"].T @ hidden
+                out = np.matmul(params[f"ffn_w2.{block}"].T, hidden, out=dest)
                 out += params[f"ffn_b2.{block}"][:, None]
                 if not config.no_rc:
                     out += flat
             else:
-                out = w1.T @ flat
+                out = np.matmul(w1.T, flat, out=dest)
             e_next = out.reshape(k, f, B)
             if config.has_ln:
                 if not keep_tape:  # nothing reads these again
@@ -328,13 +347,29 @@ def require_finite(tape: TapeCache, first_row: int) -> None:
 def score_chunks(dataset: EncodedDataset, params: Params, config: ModelConfig):
     """Yield (rows, tape) for each SCORE_CHUNK-row slice of a dataset, in
     order, each scored by a forward pass without a tape, so memory is
-    bounded by the chunk, not the dataset. A non-finite logit raises
-    NonFiniteScore."""
-    for start in range(0, len(dataset), SCORE_CHUNK):
-        rows = slice(start, start + SCORE_CHUNK)
-        _, tape = predict(dataset.take(rows), params, config, keep_tape=False)
-        require_finite(tape, start)
-        yield rows, tape
+    bounded by the chunk, not the dataset. SCORE_WORKERS chunks are scored
+    at once, each on a pool thread under a copy of the caller's context (so
+    under its NumPy error state); the pool's threads end with the generator.
+    A non-finite logit raises NonFiniteScore naming the first bad row."""
+
+    def score(rows):
+        return predict(dataset.take(rows), params, config, keep_tape=False)[1]
+
+    pending = deque()
+    with ThreadPoolExecutor(SCORE_WORKERS) as pool:
+        for start in range(0, len(dataset), SCORE_CHUNK):
+            rows = slice(start, start + SCORE_CHUNK)
+            pending.append((rows, pool.submit(contextvars.copy_context().run, score, rows)))
+            if len(pending) == SCORE_WORKERS:
+                yield _finished(*pending.popleft())
+        while pending:
+            yield _finished(*pending.popleft())
+
+
+def _finished(rows: slice, future: Future) -> tuple[slice, TapeCache]:
+    tape = future.result()
+    require_finite(tape, rows.start)
+    return rows, tape
 
 
 def predict_scores(dataset: EncodedDataset, params: Params, config: ModelConfig) -> np.ndarray:

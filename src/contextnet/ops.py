@@ -23,10 +23,14 @@ def layer_norm(
     """Normalize over the leading axis (biased variance), then apply gain
     and bias: x is [k, ...], so a batch-last activation is reduced across k
     contiguous rows. Returns the cache needed by :func:`layer_norm_backward`.
+
+    The normalization runs in place in x.reshape(k, -1), which the cache
+    holds as x_hat: x is overwritten wherever that is a view of it, as it
+    is for a contiguous x, so a caller that reads x again passes a copy.
     """
     k = x.shape[0]
-    x2 = x.reshape(k, -1)
-    x_hat = x2 - x2.sum(axis=0) / k
+    x_hat = x.reshape(k, -1)
+    x_hat -= x_hat.sum(axis=0) / k
     inv_std = 1.0 / np.sqrt(np.einsum("ij,ij->j", x_hat, x_hat) / k + eps)
     x_hat *= inv_std
     gain = gain.reshape(k, 1)

@@ -2,6 +2,8 @@
 import json
 import math
 import struct
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 from contextnet import checkpoint as ckpt_module
+from contextnet import model as model_module
 from contextnet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from contextnet.data import EncodedDataset
 from contextnet.model import (
@@ -22,6 +25,7 @@ from contextnet.model import (
     param_shapes,
     predict,
     predict_scores,
+    score_chunks,
 )
 from contextnet.metrics import logloss
 from contextnet.ops import Rng, layer_norm, mix_seed, sigmoid
@@ -410,13 +414,72 @@ class TestScoringWithoutTape:
 
     def test_peak_memory_at_wide_shape(self):
         """Scoring 3 * 4096 rows of 39 fields (13 numerical) stays within
-        24 MB of traced memory; 4096-row chunks peaked at 66 MB."""
+        24 MB of traced memory. Two 1024-row chunks in flight peak at about
+        18 MB; one at a time, 1024-row chunks peaked at 16.6 MB and
+        4096-row chunks at 66 MB."""
         cards = [1] * 13 + [3, 10, 100, 1000, 10**4, 10**5] * 4 + [50, 500]
         config = ModelConfig(n_fields=len(cards))
         p = randomized(init_params(config, cards, seed=23), 24)
         data = random_batch(Rng(25), 3 * 4096, cards, numerical=tuple(range(13)))
         peak = traced_peak(predict_scores, data, p, config)
         assert peak <= 24e6, peak / 1e6
+
+
+class TestThreadedScoring:
+    """score_chunks scores SCORE_WORKERS chunks at once on pool threads;
+    the threads neither change a bit nor outlive the scoring."""
+
+    @staticmethod
+    def overflowing(n_rows, bad):
+        """Randomized CFG parameters and n_rows rows whose rows `bad` carry a
+        numerical value so large that their logits overflow."""
+        p = randomized(init_params(CFG, CARDS, seed=26), 27)
+        data = random_batch(Rng(28), n_rows, CARDS, numerical=(1,))
+        data.values[bad, 0] = 1e300
+        return p, data
+
+    def test_workers_follow_the_callers_error_state(self, monkeypatch):
+        """Without a filterwarnings mark, any NumPy RuntimeWarning fails the
+        test (pyproject.toml); a pool thread that did not run under the
+        caller's np.errstate would warn on the overflow instead of leaving
+        it to the finite check."""
+        monkeypatch.setattr(model_module, "SCORE_WORKERS", 2)
+        bad = [SCORE_CHUNK + 17, 2 * SCORE_CHUNK + 3]
+        p, data = self.overflowing(3 * SCORE_CHUNK, bad)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NonFiniteScore, match=f"scored row {bad[0]}:"):
+                predict_scores(data, p, CFG)
+
+    def test_no_thread_outlives_scoring(self, monkeypatch):
+        monkeypatch.setattr(model_module, "SCORE_WORKERS", 2)
+        p, data = self.overflowing(4 * SCORE_CHUNK, [3 * SCORE_CHUNK])
+        before = threading.active_count()
+        predict_scores(data.take(slice(0, 3 * SCORE_CHUNK)), p, CFG)
+        assert threading.active_count() == before
+        chunks = score_chunks(data, p, CFG)
+        next(chunks)
+        chunks.close()
+        assert threading.active_count() == before
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteScore):
+            predict_scores(data, p, CFG)
+        assert threading.active_count() == before
+
+    def test_worker_count_moves_no_bit(self, monkeypatch):
+        """Also with more workers than cores and the interpreter switching
+        threads every 10 us."""
+        config = replace(CFG, variant="pffn", sharing="agg")
+        p = randomized(init_params(config, CARDS, seed=29), 30)
+        data = random_batch(Rng(31), 3 * SCORE_CHUNK + 77, CARDS)
+        scores = set()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (1, 2, 4):
+                monkeypatch.setattr(model_module, "SCORE_WORKERS", workers)
+                scores.add(predict_scores(data, p, config).tobytes())
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(scores) == 1
 
 
 def einsum_forward(batch, p, config):

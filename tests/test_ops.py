@@ -65,7 +65,7 @@ class TestLayerNorm:
         gain = rng.normal((k,), loc=1.0, scale=0.2)
         bias = rng.normal((k,), scale=0.2)
         dy = rng.normal((k,))
-        _, cache = layer_norm(x, gain, bias)
+        _, cache = layer_norm(x.copy(), gain, bias)
         dx, dgain, dbias = layer_norm_backward(cache, dy)
         h = 1e-5
 
