@@ -7,7 +7,9 @@ TapeCache, while scoring (score_chunks) keeps just the last stage of each
 SCORE_CHUNK-row slice, a training batch of rows whose activations stay
 near cache size. It scores SCORE_WORKERS slices at once on pool threads,
 each pass writing in place so that it holds about 2.3 [k, f, rows]
-activations at its peak. Parameter sharing across blocks is
+activations at its peak. loss_and_grads can hand the parameter gradients
+to a worker executor, in a fixed order, while the calling thread carries
+the input gradient. Parameter sharing across blocks is
 realized by storing shared tensors once and resolving block -> storage
 slot, so gradients of shared tensors accumulate additively.
 
@@ -29,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from contextnet import BLAS_THREADED
 from contextnet.data import EncodedDataset
 from contextnet.metrics import logloss
 from contextnet.ops import (
@@ -61,7 +64,9 @@ SCORE_CHUNK = 1024
 # Chunks scored at once, one per pool thread and usable CPU: NumPy's ufuncs
 # and OpenBLAS (on one thread) release the GIL, so each pool thread keeps a
 # core busy. A row's bits do not depend on which thread scores its chunk.
-SCORE_WORKERS = min(
+# Training uses a second thread when this is above 1. With BLAS already on
+# a thread per core, both run inline instead.
+SCORE_WORKERS = 1 if BLAS_THREADED else min(
     2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
 
@@ -344,6 +349,25 @@ def require_finite(tape: TapeCache, first_row: int) -> None:
         )
 
 
+class Inline:
+    """An executor that runs each job as it is submitted, on the caller's
+    thread: the default worker of loss_and_grads and training.adam_step."""
+
+    def submit(self, fn, *args) -> Future:
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+INLINE = Inline()
+
+
+def submit_job(worker, fn, *args) -> Future:
+    """fn(*args) as a job on worker, under a copy of the caller's context, so
+    under its NumPy error state (a new thread would start at NumPy's default)."""
+    return worker.submit(contextvars.copy_context().run, fn, *args)
+
+
 def score_chunks(dataset: EncodedDataset, params: Params, config: ModelConfig):
     """Yield (rows, tape) for each SCORE_CHUNK-row slice of a dataset, in
     order, each scored by a forward pass without a tape, so memory is
@@ -359,7 +383,7 @@ def score_chunks(dataset: EncodedDataset, params: Params, config: ModelConfig):
     with ThreadPoolExecutor(SCORE_WORKERS) as pool:
         for start in range(0, len(dataset), SCORE_CHUNK):
             rows = slice(start, start + SCORE_CHUNK)
-            pending.append((rows, pool.submit(contextvars.copy_context().run, score, rows)))
+            pending.append((rows, submit_job(pool, score, rows)))
             if len(pending) == SCORE_WORKERS:
                 yield _finished(*pending.popleft())
         while pending:
@@ -391,7 +415,7 @@ def grad_rows(g) -> tuple:
 
 
 def loss_and_grads(
-    batch: EncodedDataset, params: Params, config: ModelConfig
+    batch: EncodedDataset, params: Params, config: ModelConfig, worker=INLINE
 ) -> tuple[float, dict]:
     """Mean cross-entropy plus l2 penalty and its exact gradients.
 
@@ -400,6 +424,14 @@ def loss_and_grads(
     blocks accumulate additively. At l2 = 0 an embedding table's gradient
     is the (rows, sums) of ops.row_sums, no zeroed table; with l2 > 0 each
     regularized weight w additionally receives 2 * l2 * w, as an array.
+
+    The calling thread follows the chain that carries the input gradient
+    down to the embedding tables. The head's and each block's parameter
+    gradients, which nothing on that chain reads, are one job each on
+    `worker` (an executor; the default runs each job as it is submitted),
+    in the order of the inline pass, and are joined before the l2 term: a
+    single worker adds into a slot shared across blocks in that order, so
+    no bit depends on the worker.
     """
     scores, tape = predict(batch, params, config)
     loss = logloss(scores, batch.labels)
@@ -410,36 +442,55 @@ def loss_and_grads(
 
     kf = _kf_order(config)
     dlogits = (scores - batch.labels) / B
-    grads["head_w"][kf] = tape.stages[-1].reshape(k * f, B) @ dlogits
-    grads["head_b"][0] = dlogits.sum()
-    d_cur = np.outer(params["head_w"][kf], dlogits).reshape(k, f, B)
     e0_flat = tape.stages[0].reshape(k * f, B)
+    last = tape.stages[-1].reshape(k * f, B)
+
+    def add_head_grads():
+        grads["head_w"][kf] = last @ dlogits
+        grads["head_b"][0] = dlogits.sum()
+
+    def add_block_grads(block, d_norm, d_out, d_pre, d_ce, d_agg_pre):
+        if d_norm is not None:
+            grads[f"ln_gain.{block}"] += d_norm[0]
+            grads[f"ln_bias.{block}"] += d_norm[1]
+        if d_out is not None:
+            merged = tape.merged[block].reshape(k, f * B)
+            if config.variant == PFFN:
+                grads[f"ffn_w2.{block}"] += tape.ffn_hidden[block] @ d_out.T
+                grads[f"ffn_b2.{block}"] += d_out.sum(axis=1)
+                grads[f"ffn_w1.{block}"] += merged @ d_pre.T
+                grads[f"ffn_b1.{block}"] += d_pre.sum(axis=1)
+            else:
+                grads[f"ffn_w1.{block}"] += merged @ d_out.T
+        if d_ce is not None:
+            sa, sp = config.agg_slot(block), config.proj_slot(block)
+            grads[f"proj_w.{sp}"].reshape(k * f, -1)[kf] += d_ce @ tape.agg_act[block].T
+            grads[f"proj_b.{sp}"].reshape(-1)[kf] += d_ce.sum(axis=1)
+            grads[f"agg_w.{sa}"][:, kf] += d_agg_pre @ e0_flat.T
+            grads[f"agg_b.{sa}"] += d_agg_pre.sum(axis=1)
+
+    jobs = [submit_job(worker, add_head_grads)]
+    d_cur = np.outer(params["head_w"][kf], dlogits).reshape(k, f, B)
     d_e0_flat = np.zeros_like(e0_flat)
 
     for block in reversed(range(config.n_blocks)):
+        # the job's operands: nothing on this thread writes them after it is submitted
+        d_norm = d_out = d_pre = d_ce = d_agg_pre = None
         d_merged = d_cur
         if config.has_ffn:
             d_out = d_cur
             if config.has_ln:
-                d_out, dgain, dbias = layer_norm_backward(tape.ln[block], d_cur)
-                grads[f"ln_gain.{block}"] += dgain
-                grads[f"ln_bias.{block}"] += dbias
+                d_out, *d_norm = layer_norm_backward(tape.ln[block], d_cur)
             d_out = d_out.reshape(k, f * B)
-            merged = tape.merged[block].reshape(k, f * B)
             w1 = params[f"ffn_w1.{block}"]
             if config.variant == PFFN:
-                grads[f"ffn_w2.{block}"] += tape.ffn_hidden[block] @ d_out.T
-                grads[f"ffn_b2.{block}"] += d_out.sum(axis=1)
                 d_pre = params[f"ffn_w2.{block}"] @ d_out
                 # relu backward: its output is > 0 exactly where its input is
                 d_pre *= tape.ffn_hidden[block] > 0.0
-                grads[f"ffn_w1.{block}"] += merged @ d_pre.T
-                grads[f"ffn_b1.{block}"] += d_pre.sum(axis=1)
                 d_merged = w1 @ d_pre
                 if not config.no_rc:
                     d_merged += d_out
             else:
-                grads[f"ffn_w1.{block}"] += merged @ d_out.T
                 d_merged = w1 @ d_out
             d_merged = d_merged.reshape(k, f, B)
 
@@ -450,19 +501,22 @@ def loss_and_grads(
             d_ce = d_ce.reshape(k * f, B)
             sa = config.agg_slot(block)
             sp = config.proj_slot(block)
-            grads[f"proj_w.{sp}"].reshape(k * f, -1)[kf] += d_ce @ tape.agg_act[block].T
-            grads[f"proj_b.{sp}"].reshape(-1)[kf] += d_ce.sum(axis=1)
             d_agg_pre = params[f"proj_w.{sp}"].reshape(k * f, -1)[kf].T @ d_ce
             d_agg_pre *= tape.agg_act[block] > 0.0
-            grads[f"agg_w.{sa}"][:, kf] += d_agg_pre @ e0_flat.T
-            grads[f"agg_b.{sa}"] += d_agg_pre.sum(axis=1)
             d_e0_flat += params[f"agg_w.{sa}"][:, kf].T @ d_agg_pre
+        jobs.append(
+            submit_job(worker, add_block_grads, block, d_norm, d_out, d_pre, d_ce, d_agg_pre)
+        )
+        # no job reads these: freed while the jobs may still hold their operands
+        tape.ln[block] = tape.context[block] = tape.stages[block] = None
 
     d_cur += d_e0_flat.reshape(k, f, B)
     for j, i in enumerate(batch.numerical):
         d_cur[:, i, :] *= batch.values[:, j]
     for i in range(f):
         grads[f"embed.{i}"] = row_sums(batch.indices[:, i], d_cur[:, i, :])
+    for job in jobs:
+        job.result()
 
     if config.l2 > 0.0:
         objective = loss + config.l2 * l2_norm(params)

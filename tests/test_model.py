@@ -1,10 +1,14 @@
 """Model tests: initialization, forward contracts, sharing, counts, checkpoints."""
 import json
 import math
+import os
 import struct
+import subprocess
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +19,7 @@ from contextnet import model as model_module
 from contextnet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from contextnet.data import EncodedDataset
 from contextnet.model import (
+    INLINE,
     SCORE_CHUNK,
     ModelConfig,
     NonFiniteScore,
@@ -482,6 +487,25 @@ class TestThreadedScoring:
         assert len(scores) == 1
 
 
+    @pytest.mark.parametrize("blas_var", [None, "OPENBLAS_NUM_THREADS"])
+    def test_threaded_blas_turns_the_workers_off(self, blas_var):
+        """A program that imported NumPy before contextnet, with no BLAS
+        thread count set, runs BLAS on a thread per core: scoring and the
+        training worker then run inline. With a count set they do not."""
+        blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in blas_vars}
+        if blas_var:
+            env[blas_var] = "1"
+        tests = os.path.dirname(os.path.abspath(__file__))
+        env["PYTHONPATH"] = os.path.join(os.path.dirname(tests), "src")
+        code = "import numpy; import contextnet.model as m; print(m.SCORE_WORKERS)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert out.stdout == f"{min(2, cpus) if blas_var else 1}\n", out.stderr
+
+
 def einsum_forward(batch, p, config):
     """The paper's forward pass written row-major on [B, f, k] with einsum,
     independently of predict's batch-last layout: returns the stages
@@ -537,16 +561,20 @@ class TestForwardOracle:
 
 class TestTrainingMemory:
     @pytest.mark.parametrize("variant, limit", [("sffn", 23.3), ("pffn", 31.3)])
-    def test_peak_of_one_step(self, variant, limit):
+    @pytest.mark.parametrize("threaded", [False, True])
+    def test_peak_of_one_step(self, variant, limit, threaded):
         """Peak traced memory of one loss_and_grads at the ML-1m shape
         (B=1024, 7 fields, k=10, t=20, 3 blocks), in [1024, 7, 10] float64
-        activations; the limits are those of the row-major code."""
+        activations; the limits are those of the row-major code. With a
+        worker thread, whose jobs keep their operands alive until they run
+        (tracemalloc traces every thread), the limits are the same."""
         cards = [2, 7, 21, 500, 800, 18, 81]
         config = ModelConfig(n_fields=7, variant=variant)
         p = randomized(init_params(config, cards, seed=27), 28)
         batch = random_batch(Rng(29), 1024, cards)
         activation = 1024 * config.flat_dim * 8
-        peak = traced_peak(loss_and_grads, batch, p, config)
+        with ThreadPoolExecutor(1) if threaded else nullcontext(INLINE) as worker:
+            peak = traced_peak(loss_and_grads, batch, p, config, worker)
         assert peak <= limit * activation, peak / activation
 
     def test_no_table_sized_gradient(self):

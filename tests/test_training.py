@@ -2,6 +2,9 @@
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from contextnet.data import (
     load_records,
     make_schema,
 )
+from contextnet import model as model_module
 from contextnet.metrics import logloss
 from contextnet.model import ModelConfig, init_params, predict_scores
 from contextnet.ops import Rng
@@ -30,6 +34,7 @@ from contextnet.training import (
     calibration_warning,
     init_adam,
     train,
+    worker_tables,
 )
 from dense_grads import densify
 from synth import integers
@@ -48,16 +53,17 @@ def scalarish_params():
     return init_params(config, [1], seed=0)
 
 
-def overflowing_grads(name):
-    """Parameters and gradients whose square, in the second moment of tensor
-    `name`, overflows: a dense gradient, or for an embedding table a
-    (rows, sums) pair with one row of 1e200."""
+def overflowing_grads(*names):
+    """Parameters and gradients whose square, in the second moment of each
+    tensor of `names`, overflows: a dense gradient, or for an embedding
+    table a (rows, sums) pair with one row of 1e200."""
     params = init_params(CFG, CARDS, seed=0)
     grads = zeros_like(params)
-    if name.startswith("embed."):
-        grads[name] = (np.array([2]), np.full((1, CFG.embed_dim), 1e200))
-    else:
-        grads[name][0] = 1e200
+    for name in names:
+        if name.startswith("embed."):
+            grads[name] = (np.array([2]), np.full((1, CFG.embed_dim), 1e200))
+        else:
+            grads[name][0] = 1e200
     return params, grads
 
 
@@ -108,11 +114,21 @@ class TestAdam:
         assert all(m.max() > 0 for m in state.m.values())
         assert all(v.max() > 0 for v in state.v.values())
 
-    @pytest.mark.parametrize("name", ["head_b", "embed.0"])
-    def test_overflowing_moment_names_its_tensor(self, name):
-        params, grads = overflowing_grads(name)
-        with pytest.raises(FloatingPointError, match=f"^Adam update of {name}: overflow"):
-            adam_step(params, grads, init_adam(params, lr=1e-3))
+    @pytest.mark.parametrize(
+        "names, on_worker",
+        [
+            (["head_b"], ()),
+            (["embed.0"], ()),
+            # one table on each thread: the first in params order is named
+            (["embed.0", "embed.1"], ["embed.0"]),
+            (["embed.0", "embed.1"], ["embed.1"]),
+        ],
+    )
+    def test_overflowing_moment_names_its_tensor(self, names, on_worker):
+        params, grads = overflowing_grads(*names)
+        with ThreadPoolExecutor(1) as worker:
+            with pytest.raises(FloatingPointError, match=f"^Adam update of {names[0]}: overflow"):
+                adam_step(params, grads, init_adam(params, lr=1e-3), worker, on_worker)
 
     def test_sparse_overflow_is_named_under_python_O(self):
         """The check is np.errstate, not an assert, so `python -O` raises it too."""
@@ -286,6 +302,111 @@ class TestTrainLoop:
         assert lines[0] == "epoch\ttrain_loss\tval_auc\tval_logloss\tseconds"
         assert len(lines) == 3
         assert all(len(line.split("\t")) == 5 for line in lines[1:])
+
+
+# with batches of 32, tables 0 and 2 are larger than a batch and table 1 is
+# smaller; worker_tables gives table 0 to the worker and leaves table 2
+WORKER_CARDS = [300, 6, 80]
+WORKER_CFG = ModelConfig(n_fields=3, embed_dim=3, agg_width=4, n_blocks=3)
+WORKER_TCONF = TrainConfig(batch_size=32, lr=3e-3, max_epochs=2, patience=2, seed=16)
+
+
+def _worker_dataset(n, seed):
+    """Labels that follow field 0's token, with 20% of them flipped."""
+    rng = Rng(seed)
+    idx = np.stack([integers(rng, 0, c, (n,)) for c in WORKER_CARDS], axis=1)
+    labels = ((idx[:, 0] % 3 == 0) ^ (rng.random((n,)) < 0.2)).astype(float)
+    return EncodedDataset(labels, idx, np.empty((n, 0)), ())
+
+
+class TestTrainingWorker:
+    """With model.SCORE_WORKERS > 1, train runs the parameter-gradient
+    products and the large tables' Adam on one worker thread."""
+
+    def test_worker_tables(self):
+        params = init_params(WORKER_CFG, WORKER_CARDS, seed=0)
+        assert worker_tables(params, WORKER_TCONF.batch_size) == ["embed.0"]
+        assert worker_tables(params, 300) == []
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            WORKER_CFG,
+            replace(WORKER_CFG, variant="pffn", sharing="agg", l2=1e-4),
+            replace(WORKER_CFG, sharing="agg-proj", l2=1e-4),
+            replace(WORKER_CFG, variant="pffn", sharing="agg-proj"),
+            replace(WORKER_CFG, no_tce=True),
+            replace(WORKER_CFG, variant="pffn", no_ffn=True, sharing="agg"),
+            replace(WORKER_CFG, variant="pffn", no_ln=True, l2=1e-4),
+            replace(WORKER_CFG, variant="pffn", no_rc=True, sharing="agg-proj"),
+        ],
+        ids=repr,
+    )
+    def test_worker_moves_no_bit(self, config, monkeypatch):
+        """One lane and the worker (with the interpreter switching threads
+        every 10 us) return byte-equal parameters and history."""
+        train_set, val_set = _worker_dataset(300, seed=17), _worker_dataset(100, seed=18)
+
+        def run(workers):
+            monkeypatch.setattr(model_module, "SCORE_WORKERS", workers)
+            params = init_params(config, WORKER_CARDS, seed=19, pos_rate=0.4)
+            best, history = train(config, params, train_set, val_set, WORKER_TCONF)
+            stats = [(e.train_loss, e.val_auc, e.val_logloss) for e in history.epochs]
+            tsv = [line.rsplit("\t", 1)[0] for line in history.to_tsv().splitlines()]
+            tensors = [a.tobytes() for a in (*best.values(), *params.values())]
+            return tensors, stats, tsv, history.best_epoch
+
+        one_lane = run(1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            assert run(2) == one_lane
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_no_thread_outlives_train(self, monkeypatch):
+        monkeypatch.setattr(model_module, "SCORE_WORKERS", 2)
+        train_set, val_set = _worker_dataset(300, seed=20), _worker_dataset(100, seed=21)
+        before = threading.active_count()
+        params = init_params(WORKER_CFG, WORKER_CARDS, seed=22)
+        train(WORKER_CFG, params, train_set, val_set, WORKER_TCONF)
+        assert threading.active_count() == before
+
+    def test_worker_side_overflow_is_named_as_inline(self, monkeypatch):
+        """l2 = 1e300 overflows every regularized tensor: embed.0, on the
+        worker, is named as on one lane, and no thread outlives train."""
+        config = replace(WORKER_CFG, l2=1e300)
+        train_set, val_set = _worker_dataset(300, seed=23), _worker_dataset(100, seed=24)
+        before = threading.active_count()
+        messages = []
+        for workers in (1, 2):
+            monkeypatch.setattr(model_module, "SCORE_WORKERS", workers)
+            params = init_params(config, WORKER_CARDS, seed=25)
+            with pytest.raises(TrainingDiverged) as err:
+                train(config, params, train_set, val_set, WORKER_TCONF)
+            messages.append(str(err.value))
+            assert threading.active_count() == before
+        assert messages == [
+            "Adam update of embed.0: overflow encountered in multiply at epoch 0, batch 0"
+        ] * 2
+
+    def test_worker_follows_the_callers_error_state(self, monkeypatch):
+        """Without a filterwarnings mark, any NumPy RuntimeWarning fails the
+        test (pyproject.toml): a job that did not run under the caller's
+        np.errstate would warn on the overflowing products it computes."""
+        monkeypatch.setattr(model_module, "SCORE_WORKERS", 2)
+        config = replace(WORKER_CFG, no_ln=True)
+        data = _worker_dataset(300, seed=26)
+        # field 2 read as numerical, at a value whose products overflow in
+        # the gradient jobs, not only on the calling thread
+        data = EncodedDataset(data.labels, data.indices, np.full((300, 1), 1e104), (2,))
+        params = init_params(config, WORKER_CARDS, seed=27)
+        rng = Rng(5)
+        for t in params.values():
+            t[...] = rng.normal(t.shape, scale=0.4)
+        with np.errstate(all="ignore"):
+            with pytest.raises(TrainingDiverged):
+                train(config, params, data, data, WORKER_TCONF)
 
 
 class TestCalibrationWarning:
