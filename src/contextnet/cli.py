@@ -3,7 +3,9 @@
 Options come from command-line flags alone: argparse converts, defaults and
 requires each one from its `_OPTS` row. Exit codes: 0 success, 2 usage error
 or a path that cannot be opened, read or written, 3 data or checkpoint error,
-4 numerical failure.
+4 numerical failure, 130 interrupted by SIGINT (one line; train makes its
+output directory only once it has trained), 141 standard output closed by
+its reader (nothing more is printed; a shell reports a SIGPIPE death so).
 """
 from __future__ import annotations
 
@@ -28,6 +30,8 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+EXIT_INTERRUPTED = 130  # 128 + SIGINT
+EXIT_STDOUT_CLOSED = 141  # 128 + SIGPIPE
 
 
 class ConfigError(ValueError):
@@ -159,7 +163,8 @@ def cmd_train(opts: dict) -> int:
     cards = dt.cardinalities(schema, vocab)
     dataset = dt.encode_dataset(columns, schema, vocab)
     train_set, val_set, test_set = (dataset.take(rows) for rows in splits)
-    del columns, dataset  # neither is needed during training
+    vocab_text = dt.vocabulary_text(vocab)  # training reads no token string
+    del columns, dataset, vocab  # nor any of these
     test_set.require_both_classes("the test split")
 
     params = init_params(
@@ -183,12 +188,13 @@ def cmd_train(opts: dict) -> int:
         [(f.name, f.kind) for f in schema],
         opts["seed"],
     )
-    dt.save_vocabulary(vocab, os.path.join(out_dir, "vocab.txt"))
-    with open(os.path.join(out_dir, "history.tsv"), "w", encoding="utf-8") as fh:
-        fh.write(history.to_tsv())
-    with open(os.path.join(out_dir, "metrics.txt"), "w", encoding="utf-8") as fh:
-        fh.write(f"test_auc\t{test_auc:.10f}\n")
-        fh.write(f"test_logloss\t{test_ll:.10f}\n")
+    for name, text in (
+        ("vocab.txt", vocab_text),
+        ("history.tsv", history.to_tsv()),
+        ("metrics.txt", f"test_auc\t{test_auc:.10f}\ntest_logloss\t{test_ll:.10f}\n"),
+    ):
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
     kept = history.best_epoch
     print(f"trained {len(history.epochs)} epochs; best val AUC "
           f"{history.epochs[kept].val_auc:.6f} at epoch {kept}")
@@ -283,11 +289,11 @@ def cmd_explain(opts: dict) -> int:
             params, config, dataset, schema, tables, mode=mode, alpha=alpha
         )
         top = top or None  # 0 prints every row
+        field, index, count, score = (a[:top].tolist() for a in ranked)
+        names = [schema[i].name for i in field]
+        tokens = [tables[i][j] for i, j in zip(field, index)]
         lines.append("field\ttoken\tcount\tscore")
-        lines.extend(
-            "{}\t{}\t{}\t{:.10f}".format(schema[i].name, tables[i][j], n, score)
-            for i, j, n, score in zip(*(a[:top].tolist() for a in ranked))
-        )
+        lines.extend(map("%s\t%s\t%d\t%.10f".__mod__, zip(names, tokens, count, score)))
     print("\n".join(lines))
     return EXIT_OK
 
@@ -330,7 +336,16 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         with np.errstate(all="ignore"):  # the engine checks for non-finite values
-            return _HANDLERS[args.command](vars(args))
+            code = _HANDLERS[args.command](vars(args))
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout is gone: what is still buffered goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_STDOUT_CLOSED
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except (ConfigError, OSError) as exc:  # an OSError names its path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -325,10 +325,15 @@ def batch_iter(dataset: EncodedDataset, batch_size: int, seed: int, epoch: int =
 _VOCAB_FORMAT = ["contextnet-vocab", 2]
 
 
-def save_vocabulary(vocab: Vocabulary, path: str) -> None:
+def vocabulary_text(vocab: Vocabulary) -> str:
+    """The text of a vocabulary file: one line of JSON."""
     doc = {"format": _VOCAB_FORMAT, "tokens": vocab.tokens, "numeric_stats": vocab.numeric_stats}
+    return json.dumps(doc, allow_nan=False) + "\n"
+
+
+def save_vocabulary(vocab: Vocabulary, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, allow_nan=False) + "\n")
+        fh.write(vocabulary_text(vocab))
 
 
 def _json_object(pairs: list) -> dict:

@@ -471,7 +471,7 @@ def loss_and_grads(
 
     jobs = [submit_job(worker, add_head_grads)]
     d_cur = np.outer(params["head_w"][kf], dlogits).reshape(k, f, B)
-    d_e0_flat = np.zeros_like(e0_flat)
+    d_e0_flat = None  # the first TCE block's product, then the others' added to it
 
     for block in reversed(range(config.n_blocks)):
         # the job's operands: nothing on this thread writes them after it is submitted
@@ -496,21 +496,27 @@ def loss_and_grads(
 
         d_cur = d_merged
         if config.has_tce:
-            d_cur = d_merged * tape.context[block]
+            # the block frees its context below, so nothing reads it again
+            d_cur = np.multiply(d_merged, tape.context[block], out=tape.context[block])
             d_ce = np.multiply(d_merged, tape.stages[block], out=d_merged)
             d_ce = d_ce.reshape(k * f, B)
             sa = config.agg_slot(block)
             sp = config.proj_slot(block)
             d_agg_pre = params[f"proj_w.{sp}"].reshape(k * f, -1)[kf].T @ d_ce
             d_agg_pre *= tape.agg_act[block] > 0.0
-            d_e0_flat += params[f"agg_w.{sa}"][:, kf].T @ d_agg_pre
+            d_e0 = params[f"agg_w.{sa}"][:, kf].T @ d_agg_pre
+            if d_e0_flat is None:
+                d_e0_flat = d_e0
+            else:
+                d_e0_flat += d_e0
         jobs.append(
             submit_job(worker, add_block_grads, block, d_norm, d_out, d_pre, d_ce, d_agg_pre)
         )
         # no job reads these: freed while the jobs may still hold their operands
         tape.ln[block] = tape.context[block] = tape.stages[block] = None
 
-    d_cur += d_e0_flat.reshape(k, f, B)
+    if d_e0_flat is not None:  # row_sums adds from 0.0, so a -0.0 here changes no sum
+        d_cur += d_e0_flat.reshape(k, f, B)
     for j, i in enumerate(batch.numerical):
         d_cur[:, i, :] *= batch.values[:, j]
     for i in range(f):

@@ -46,6 +46,10 @@ def layer_norm_backward(
 
     dgain/dbias are reduced over all trailing axes, matching a gain/bias
     shared across every normalized vector in the batch.
+
+    dx is computed in place in dy.reshape(k, -1) once dgain and dbias are
+    read from it: dy is overwritten wherever that is a view of it, as it
+    is for a contiguous dy, so a caller that reads dy again passes a copy.
     """
     x_hat, inv_std, gain = cache
     k = x_hat.shape[0]
@@ -53,7 +57,7 @@ def layer_norm_backward(
     xh2 = x_hat.reshape(k, -1)
     dbias = dy2.sum(axis=1)
     dgain = np.einsum("ij,ij->i", dy2, xh2)
-    d_hat = dy2 * gain
+    d_hat = np.multiply(dy2, gain, out=dy2)
     dx = xh2 * np.einsum("ij,ij->j", d_hat, xh2)
     dx += d_hat.sum(axis=0)
     d_hat *= k

@@ -1,17 +1,20 @@
 """End-to-end command-line tests over tiny datasets."""
 import errno
+import gc
 import json
 import os
 import re
 import struct
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
 import contextnet
-from contextnet import interpret, model
+from contextnet import cli, interpret, model, training
+from contextnet import data as dt
 from contextnet.checkpoint import load_checkpoint, save_checkpoint
 from contextnet.cli import main
 from contextnet.data import split_indices
@@ -114,14 +117,16 @@ def edited_header(run_dir, dst, edit):
     return str(dst)
 
 
+SRC = os.path.dirname(os.path.dirname(contextnet.__file__))
+
+
 def run_optimized(argv):
     """Run the CLI in a `python -O` subprocess, where asserts are stripped."""
-    src = os.path.dirname(os.path.dirname(contextnet.__file__))
     return subprocess.run(
         [sys.executable, "-O", "-m", "contextnet.cli", *argv],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=src),
+        env=dict(os.environ, PYTHONPATH=SRC),
         timeout=300,
     )
 
@@ -245,6 +250,39 @@ class TestTrainCommand:
         assert code == 3
         err = capsys.readouterr().err
         assert f"record {k}, field 'x': '{raw}'" in err and err.count("\n") == 1
+
+    def test_training_holds_no_vocabulary(self, synth_dir, tmp_path, monkeypatch):
+        """The Vocabulary and its token strings are gone before the first
+        step: train() reads none of them, and vocab.txt is written from
+        its text."""
+        built, alive = [], []
+        build_vocabulary, train = dt.build_vocabulary, cli.train
+
+        def kept(*args):
+            vocab = build_vocabulary(*args)
+            built.append(weakref.ref(vocab))
+            return vocab
+
+        def checked(*args):
+            gc.collect()
+            alive.append(built[0]() is not None)
+            return train(*args)
+
+        monkeypatch.setattr(dt, "build_vocabulary", kept)
+        monkeypatch.setattr(cli, "train", checked)
+        out = str(tmp_path / "run")
+        code = main(
+            [
+                "train",
+                "--data", os.path.join(synth_dir, "data.tsv"),
+                "--schema", os.path.join(synth_dir, "schema.tsv"),
+                "--out", out,
+                "--epochs", "1",
+                "--batch-size", "64",
+            ]
+        )
+        assert (code, alive) == (0, [False])
+        assert os.path.exists(os.path.join(out, "vocab.txt"))
 
     def test_unknown_ablation_rejected(self, synth_dir, tmp_path):
         code = main(
@@ -962,6 +1000,112 @@ class TestErrorTable:
         argv, code, line = self.case(name, error_paths)
         result = run_optimized(argv)
         assert (result.returncode, result.stderr) == (code, line + "\n")
+
+
+@pytest.fixture(scope="module")
+def many_tokens_dir(tmp_path_factory):
+    """12,500 rows whose field `id` holds a distinct token per row, and a
+    model trained on them in run/: `explain --corpus norm --top 0` on it
+    prints about 10,000 lines, more than a pipe buffers."""
+    d = tmp_path_factory.mktemp("many_tokens")
+    (d / "schema.tsv").write_text("id\tcat\nc\tcat\n")
+    (d / "data.tsv").write_text(
+        "".join(f"{i % 2}\tuser-{i:06d}-token\tt{i % 5}\n" for i in range(12_500))
+    )
+    code = main(
+        [
+            "train",
+            "--data", str(d / "data.tsv"),
+            "--schema", str(d / "schema.tsv"),
+            "--out", str(d / "run"),
+            "--embed-dim", "2",
+            "--agg-width", "2",
+            "--blocks", "1",
+            "--epochs", "1",
+        ]
+    )
+    assert code == 0
+    return d
+
+
+# A child that trains with an interrupt (a real SIGINT) at its third step.
+INTERRUPTED_TRAIN = """
+import os, signal, sys
+from contextnet import cli, training
+steps, loss_and_grads = [], training.loss_and_grads
+def step(*args):
+    steps.append(None)
+    if len(steps) == 3:
+        os.kill(os.getpid(), signal.SIGINT)
+    return loss_and_grads(*args)
+training.loss_and_grads = step
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+class TestRunEnds:
+    """An interrupt and a closed standard output each end the command with
+    their documented code and no traceback, also under `python -O`."""
+
+    @staticmethod
+    def train_argv(d, out):
+        return ["train", "--data", str(d / "data.tsv"), "--schema", str(d / "schema.tsv"),
+                "--out", out, "--embed-dim", "2", "--agg-width", "2", "--blocks", "1",
+                "--batch-size", "256", "--epochs", "1"]
+
+    def test_interrupt_in_process(self, many_tokens_dir, tmp_path, capsys, monkeypatch):
+        steps, loss_and_grads = [], training.loss_and_grads
+
+        def step(*args):
+            steps.append(None)
+            if len(steps) == 3:
+                raise KeyboardInterrupt  # what Python's SIGINT handler raises
+            return loss_and_grads(*args)
+
+        monkeypatch.setattr(training, "loss_and_grads", step)
+        out = str(tmp_path / "out")
+        try:
+            code = main(self.train_argv(many_tokens_dir, out))
+        except KeyboardInterrupt:  # uncaught, it would end the test session
+            pytest.fail("the interrupt left main")
+        assert code == 130
+        assert capsys.readouterr() == ("", "error: interrupted\n")
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+    def test_interrupt_signal(self, many_tokens_dir, tmp_path, flags):
+        out = str(tmp_path / "out")
+        result = subprocess.run(
+            [sys.executable, *flags, "-c", INTERRUPTED_TRAIN,
+             *self.train_argv(many_tokens_dir, out)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=SRC),
+            timeout=300,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (
+            130, "", "error: interrupted\n"
+        )
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+    def test_closed_stdout_exits_141_quietly(self, many_tokens_dir, flags):
+        """The reader takes one line and closes the pipe, as `| head -1` does."""
+        run = many_tokens_dir / "run"
+        proc = subprocess.Popen(
+            [sys.executable, *flags, "-m", "contextnet.cli", "explain",
+             "--checkpoint", str(run / "checkpoint.bin"), "--vocab", str(run / "vocab.txt"),
+             "--schema", str(many_tokens_dir / "schema.tsv"),
+             "--data", str(many_tokens_dir / "data.tsv"), "--corpus", "norm", "--top", "0"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (first, proc.wait(timeout=300), err) == (b"field\ttoken\tcount\tscore\n", 141, b"")
 
 
 def test_help_still_exits_0(capsys):

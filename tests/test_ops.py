@@ -66,7 +66,7 @@ class TestLayerNorm:
         bias = rng.normal((k,), scale=0.2)
         dy = rng.normal((k,))
         _, cache = layer_norm(x.copy(), gain, bias)
-        dx, dgain, dbias = layer_norm_backward(cache, dy)
+        dx, dgain, dbias = layer_norm_backward(cache, dy.copy())  # dx overwrites it
         h = 1e-5
 
         def loss(xv, gv, bv):
